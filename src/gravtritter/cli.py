@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
 import jsonschema
-import numpy as np
 
 from . import __version__
 from .errors import GravTritterError
@@ -193,11 +193,22 @@ def _configure_logging():
         logging.basicConfig(level=logging.CRITICAL + 1)
 
 
+def _finite_float(text: str) -> float:
+    """JSON number or NaN/Infinity literal; only finite doubles pass."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def _load_config(path: str, schema: dict) -> dict:
+    """Parse and validate a config; every number in it must be finite."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(
+                fh, parse_constant=_finite_float, parse_float=_finite_float
+            )
+    except (OSError, ValueError) as exc:
         raise _SchemaFailure(f"cannot read config {path}: {exc}") from exc
     try:
         jsonschema.validate(doc, schema)
@@ -412,10 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=["csv", "json"], default="csv" if name in
             ("sweep", "find-hom") else "json",
         )
-        p.add_argument(
-            "--seed", type=int, default=None,
-            help="seed for randomized test harnesses (unused by the pipeline)",
-        )
         p.set_defaults(func=func)
     return parser
 
@@ -423,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    if args.seed is not None:
-        np.random.seed(args.seed)
     try:
         return args.func(args)
     except _SchemaFailure as exc:

@@ -10,10 +10,10 @@ class DomainError(GravTritterError, ValueError):
 
 
 class QuadratureError(GravTritterError, ArithmeticError):
-    """Adaptive quadrature did not reach the requested tolerance.
+    """A Simpson overlap with a tabulated profile missed its tolerance.
 
     Attributes:
-        achieved: error estimate actually reached by the integrator.
+        achieved: Richardson error estimate actually reached by the rule.
         requested: tolerance that was asked for.
     """
 

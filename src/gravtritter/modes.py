@@ -10,28 +10,27 @@ the spectral wavepacket of a single photon.  Three kinds are supported:
   linear interpolation; zero outside the grid.
 
 Evaluation at omega <= 0 returns zero for every kind.  Overlaps
-<F,G> = int_0^inf F*(w) G(w) dw are computed by adaptive quadrature on the
-intersection of the two profiles' effective supports (where the envelopes
-exceed 1e-16 of their peak).
+<F,G> = int_0^inf F*(w) G(w) dw of gaussian/comb profiles are exact sums of
+half-line Gaussian integrals over lobe pairs; when either side is tabulated
+they are integrated by node-aligned Simpson on the intersection of the two
+profiles' effective supports (where the envelopes exceed 1e-16 of their
+peak).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import DegeneracyError, DomainError, QuadratureError
 
 # Truncation level for effective support windows, relative to the peak.
 SUPPORT_REL_EPS = 1e-16
-# Absolute tolerance for overlap integrals; 1e-12 target leaves headroom
-# over the 1e-10 contract since overlaps feed arccos/arcsin downstream.
+# Absolute error bound for Simpson overlaps of tabulated profiles.
 QUAD_ABS_TOL = 1e-10
-_QUAD_TARGET = 1e-12
-_QUAD_LIMIT = 1000
 
 # |F| falls below SUPPORT_REL_EPS of its peak this many sigmas out.
 _SUPPORT_HALF_WIDTH = 2.0 * np.sqrt(np.log(1.0 / SUPPORT_REL_EPS))
@@ -66,14 +65,10 @@ class GaussianProfile:
 
     def evaluate(self, omega):
         """F(omega); zero for omega <= 0.  Accepts scalars or arrays."""
-        w = np.asarray(omega, dtype=float)
-        vals = _gauss_lobe(w, self.omega0, self.sigma) * np.exp(1j * self.phase)
-        out = np.where(w > 0, vals, 0.0 + 0.0j)
-        return out[()] if np.isscalar(omega) or out.ndim == 0 else out
+        return _as_comb(self).evaluate(omega)
 
     def support_window(self) -> tuple[float, float]:
-        half = _SUPPORT_HALF_WIDTH * self.sigma
-        return (max(self.omega0 - half, 0.0), self.omega0 + half)
+        return _as_comb(self).support_window()
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,41 +184,54 @@ def profile_from_json(doc: dict) -> ModeProfile:
     raise DomainError(f"unknown profile kind {kind!r}")
 
 
-def evaluate(profile: ModeProfile, omega):
-    """Functional form of profile evaluation."""
-    return profile.evaluate(omega)
-
-
 def inner_product(f: ModeProfile, g: ModeProfile) -> complex:
-    """Overlap <F,G> = int_0^inf F*(w) G(w) dw by adaptive quadrature.
+    """Overlap <F,G> = int_0^inf F*(w) G(w) dw.
 
-    The integral is truncated to the intersection of the effective supports
-    (envelope above 1e-16 of peak); a disjoint intersection yields exactly 0.
+    Gaussian/comb pairs use the exact lobe-pair sum of :func:`_lobe_overlap`,
+    cut-off at omega = 0 included.  If either side is tabulated, the
+    integral runs over the intersection of the effective supports by
+    node-aligned Simpson; a disjoint intersection yields exactly 0.
 
     Raises:
-        QuadratureError: integrator error estimate exceeds 1e-10.
+        QuadratureError: Simpson error estimate exceeds 1e-10.
     """
+    comb1, comb2 = _as_comb(f), _as_comb(g)
+    if comb1 is not None and comb2 is not None:
+        return _lobe_overlap(comb1, comb2)
     lo1, hi1 = f.support_window()
     lo2, hi2 = g.support_window()
     lo, hi = max(lo1, lo2), min(hi1, hi2)
     if lo >= hi:
         return 0.0 + 0.0j
+    # Composite Simpson between grid nodes is exact for products of linear
+    # interpolants, so the kinks of a table cost no accuracy.
+    return _piecewise_inner(f, g, lo, hi)
 
-    if isinstance(f, TabulatedProfile) or isinstance(g, TabulatedProfile):
-        # Adaptive rules stall on the interpolation kinks; composite Simpson
-        # between grid nodes is exact for products of linear interpolants.
-        return _piecewise_inner(f, g, lo, hi)
 
-    def integrand(w):
-        val = np.conj(f.evaluate(w)) * g.evaluate(w)
-        return np.array([val.real, val.imag])
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
-    result, err = quad_vec(
-        integrand, lo, hi, epsabs=_QUAD_TARGET, epsrel=0.0, limit=_QUAD_LIMIT
+
+def _lobe_overlap(f: CombProfile, g: CombProfile) -> complex:
+    """Exact sum over lobe pairs of half-line Gaussian integrals.
+
+    Lobes (w_i, a, s1) of F and (w_j, b, s2) of G contribute their full-line
+    overlap conj(w_i) w_j sqrt(2 s1 s2 / V) exp(-(a - b)^2 / (4 V)), with
+    V = s1^2 + s2^2, times the share erfc(-mu sqrt(A)) / 2 of the product
+    Gaussian on w > 0; A = 1/(4 s1^2) + 1/(4 s2^2) is its inverse scale and
+    mu = (a/(4 s1^2) + b/(4 s2^2)) / A its centre.
+    """
+    w1, a, s1 = (np.array(col)[:, None] for col in zip(*f.peaks))
+    w2, b, s2 = (np.array(col)[None, :] for col in zip(*g.peaks))
+    var = s1**2 + s2**2
+    mu_sqrt_a = (a * s2**2 + b * s1**2) / (2.0 * s1 * s2 * np.sqrt(var))
+    terms = (
+        np.conj(w1)
+        * w2
+        * np.sqrt(2.0 * s1 * s2 / var)
+        * np.exp(-((a - b) ** 2) / (4.0 * var))
+        * (0.5 * _erfc(-mu_sqrt_a))
     )
-    if err > QUAD_ABS_TOL:
-        raise QuadratureError(achieved=float(err), requested=QUAD_ABS_TOL)
-    return complex(result[0], result[1])
+    return complex(terms.sum())
 
 
 def _piecewise_inner(f, g, lo: float, hi: float) -> complex:
@@ -281,13 +289,12 @@ def redshift_transform(profile: ModeProfile, chi: float) -> ModeProfile:
 def make_comb(peaks) -> CombProfile:
     """Build a normalized comb from (weight, center, width) triples.
 
-    The normalization constant is computed by quadrature and folded into
+    The normalization constant is the exact closed-form norm, folded into
     the stored weights.
     """
     peaks = tuple((complex(wt), float(c), float(s)) for wt, c, s in peaks)
     raw = CombProfile(peaks)
-    scale = 1.0 / norm(raw)
-    return CombProfile(tuple((wt * scale, c, s) for wt, c, s in peaks))
+    return _divided(raw, norm(raw))
 
 
 def _as_comb(profile: ModeProfile) -> CombProfile | None:
@@ -324,46 +331,37 @@ def orthonormalize_pair(
     """Gram-Schmidt anchored on the first argument.
 
     Returns (F1/||F1||, (F2 - <E1,F2> E1)/||.||).  For gaussian/comb inputs
-    the subtraction stays in closed form as a weighted lobe list; if either
-    input is tabulated, both outputs are tabulated on a merged grid so the
-    projection coefficient and the final orthogonality check share one
-    quadrature rule.
+    the subtraction stays in closed form as a weighted lobe list and every
+    overlap is exact; if either input is tabulated, both outputs are
+    tabulated on a merged grid so the projection coefficient and the final
+    orthogonality check share one Simpson rule.
 
     Raises:
         DegeneracyError: inputs numerically parallel.
     """
-    comb1, comb2 = _as_comb(f1), _as_comb(f2)
-    if comb1 is None or comb2 is None:
+    p1, p2 = _as_comb(f1), _as_comb(f2)
+    if p1 is None or p2 is None:
         grid = _merged_grid(f1, f2)
-        return _orthonormalize_tabulated(_tabulate(f1, grid), _tabulate(f2, grid))
-
-    s1 = 1.0 / norm(comb1)
-    e1 = CombProfile(tuple((wt * s1, c, s) for wt, c, s in comb1.peaks))
-    s2 = 1.0 / norm(comb2)
-    n2 = CombProfile(tuple((wt * s2, c, s) for wt, c, s in comb2.peaks))
-
+        p1, p2 = _tabulate(f1, grid), _tabulate(f2, grid)
+    e1, n2 = _divided(p1, norm(p1)), _divided(p2, norm(p2))
     c12 = inner_product(e1, n2)
     if abs(c12) >= 1.0 - 1e-12:
         raise DegeneracyError(
             f"profiles numerically parallel, |<F1,F2>| = {abs(c12):.15f}"
         )
-    residual = CombProfile(
-        n2.peaks + tuple((-c12 * wt, c, s) for wt, c, s in e1.peaks)
-    )
-    rnorm = norm(residual)
-    e2 = CombProfile(tuple((wt / rnorm, c, s) for wt, c, s in residual.peaks))
-    return e1, e2
+    residual = _minus(n2, c12, e1)
+    return e1, _divided(residual, norm(residual))
 
 
-def _orthonormalize_tabulated(t1: TabulatedProfile, t2: TabulatedProfile):
-    e1 = TabulatedProfile(t1.omega, t1.values / norm(t1))
-    v2 = t2.values / norm(t2)
-    n2 = TabulatedProfile(t2.omega, v2)
-    c12 = inner_product(e1, n2)
-    if abs(c12) >= 1.0 - 1e-12:
-        raise DegeneracyError(
-            f"profiles numerically parallel, |<F1,F2>| = {abs(c12):.15f}"
-        )
-    residual = TabulatedProfile(t2.omega, v2 - c12 * e1.values)
-    e2 = TabulatedProfile(t2.omega, residual.values / norm(residual))
-    return e1, e2
+def _divided(p: CombProfile | TabulatedProfile, scale):
+    """p / scale, of the same kind."""
+    if isinstance(p, TabulatedProfile):
+        return TabulatedProfile(p.omega, p.values / scale)
+    return CombProfile(tuple((wt / scale, c, s) for wt, c, s in p.peaks))
+
+
+def _minus(p: CombProfile | TabulatedProfile, k: complex, q):
+    """p - k q: a longer lobe list, or a table on the shared grid."""
+    if isinstance(p, TabulatedProfile):
+        return TabulatedProfile(p.omega, p.values - k * q.values)
+    return CombProfile(p.peaks + tuple((-k * wt, c, s) for wt, c, s in q.peaks))

@@ -155,7 +155,8 @@ def find_hom(spec: SweepSpec) -> list[HomRoot]:
             if root is not None:
                 roots.append(root)
             continue
-        if fa * fb >= 0:
+        # A right end already below hom_tol is reported as a grid-point root.
+        if fa * fb >= 0 or abs(fb) < spec.hom_tol:
             continue
         chi_root, val, converged = _bisect(pipeline, a, b, fa, fb, spec.hom_tol)
         root = _evaluate_root(pipeline, spec, chi_root, abs(val), converged)

@@ -96,7 +96,7 @@ def angles_from_overlaps(o11: float, o22: float, o21: float) -> TritterAngles:
 
 
 def _snap_one(x: float) -> float:
-    # arccos amplifies O(eps) quadrature noise near 1 into O(sqrt(eps))
+    # arccos amplifies O(eps) rounding noise near 1 into O(sqrt(eps))
     # angles; arguments this close to 1 carry no physical signal.
     return 1.0 if x > 1.0 - 1e-12 else x
 
@@ -177,10 +177,3 @@ def nogo_normalization(chi: float) -> float:
 def mixer_to_json(u: np.ndarray) -> list:
     """Row-major [re, im] pairs."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(u, complex).ravel()]
-
-
-def mixer_from_json(entries: list) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in entries])
-    if flat.size != 9:
-        raise DomainError(f"mixer serialization needs 9 entries, got {flat.size}")
-    return flat.reshape(3, 3)

@@ -10,8 +10,9 @@ def rng():
 def gaussian_overlap(a, s1, b, s2, ph1=0.0, ph2=0.0):
     """Closed-form overlap of two normalized Gaussian profiles.
 
-    Valid to <1e-10 truncation error when both peaks sit many widths above
-    zero; used as the independent oracle for the quadrature route.
+    Full-line formula, valid to <1e-10 truncation error when both peaks sit
+    many widths above zero; an independent oracle for the half-line lobe
+    sum of ``inner_product``.
     """
     mag = np.sqrt(2.0 * s1 * s2 / (s1**2 + s2**2)) * np.exp(
         -((a - b) ** 2) / (4.0 * (s1**2 + s2**2))

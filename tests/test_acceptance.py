@@ -174,7 +174,7 @@ def test_criterion_7_mode_transform_invariances():
                 assert abs(
                     inner_product(t1, t2) - inner_product(e1, e2)
                 ) < 1e-8
-            # quadrature against the closed-form gaussian overlap oracle
+            # half-line lobe sum against the full-line gaussian overlap oracle
             g1 = GaussianProfile(100.0, 1.0)
             g1p = redshift_transform(g1, chi)
             got = inner_product(g1p, g1)

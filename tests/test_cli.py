@@ -195,6 +195,36 @@ class TestSweepCommand:
         assert code == 4
 
 
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
+# One config per subcommand; the "@" value is replaced by a non-finite literal.
+NON_FINITE_CONFIGS = {
+    "chi": {"g": "@", "h": 1.0},
+    "nogo": {"chi": "@"},
+    "tritter": {**GAUSSIAN_PAIR, "chi": "@"},
+    "evolve": {"angles": [0.0, "@", 0.0]},
+    "sweep": {**GAUSSIAN_PAIR, "chi_lo": 1.0, "chi_hi": "@", "grid": 3},
+    "find-hom": {
+        "mode1": {"kind": "gaussian", "omega0": 100.0, "sigma": "@"},
+        "mode2": GAUSSIAN_PAIR["mode2"],
+        "chi_lo": 1.0,
+        "chi_hi": 1.01,
+        "grid": 3,
+    },
+}
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("command", sorted(NON_FINITE_CONFIGS))
+def test_non_finite_config_exit_2(tmp_path, capsys, command, literal):
+    path = tmp_path / "config.json"
+    text = json.dumps(NON_FINITE_CONFIGS[command]).replace('"@"', literal)
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert literal in captured.err
+
+
 class TestFindHomCommand:
     def test_disjoint_pair_empty_exit_0(self, tmp_path, capsys):
         cfg = write_config(

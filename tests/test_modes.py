@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from gravtritter import (
     CombProfile,
@@ -28,6 +30,32 @@ def tabulated_from(profile, n=6001):
     # rescale so normalization invariants apply to the tabulated kind too
     scale = np.sqrt(inner_product(tab, tab).real)
     return TabulatedProfile(grid, tab.values / scale)
+
+
+def simpson_overlap(f, g, n=400001):
+    """Independent oracle: composite Simpson on exact samples from w ~ 0."""
+    hi = max(f.support_window()[1], g.support_window()[1])
+    w = np.linspace(np.finfo(float).tiny, hi, n)
+    return simpson(np.conj(f.evaluate(w)) * g.evaluate(w), x=w)
+
+
+def random_profile(rng):
+    """Gaussian with a phase, or a comb of 2-4 lobes with complex weights.
+
+    Lobes are broad and low enough that a redshift by chi in [0.5, 2] keeps
+    a sizeable overlap with the original, and comb lobes may reach w = 0.
+    """
+    if rng.uniform() < 0.3:
+        return GaussianProfile(
+            rng.uniform(10, 20), rng.uniform(1, 2), rng.uniform(0, 2 * np.pi)
+        )
+    return make_comb(
+        [
+            (rng.standard_normal() + 1j * rng.standard_normal(),
+             rng.uniform(5, 20), rng.uniform(1, 4))
+            for _ in range(rng.integers(2, 5))
+        ]
+    )
 
 
 class TestEvaluate:
@@ -117,6 +145,21 @@ class TestInnerProduct:
                 ]
             )
             assert abs(inner_product(f, g)) <= 1.0 + 1e-10
+
+    def test_closed_form_matches_simpson_oracle(self, rng):
+        for _ in range(6):
+            f, g = random_profile(rng), random_profile(rng)
+            chi = rng.uniform(0.5, 2.0)
+            fp = redshift_transform(f, chi)
+            for p, q in ((f, g), (fp, f), (fp, g)):
+                assert abs(inner_product(p, q) - simpson_overlap(p, q)) < 1e-12
+
+    def test_low_peak_norm_is_half_line_share(self):
+        with pytest.warns(UserWarning):
+            g = GaussianProfile(2.0, 1.0)
+        norm_sq = inner_product(g, g)
+        assert abs(norm_sq - 0.5 * math.erfc(-math.sqrt(2.0))) < 1e-15
+        assert abs(norm_sq - simpson_overlap(g, g)) < 1e-12
 
     def test_tabulated_overlap(self):
         g1 = GaussianProfile(10.0, 1.0)

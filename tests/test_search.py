@@ -107,6 +107,22 @@ class TestFindHom:
             assert abs(rho.entry(2, 0, 1, 1)) < 1e-9
             assert abs(rho.entry(0, 2, 1, 1)) < 1e-9
 
+    @pytest.mark.parametrize("layout", ["interior", "last"])
+    def test_grid_point_root_reported_once(self, layout):
+        # a grid point that is itself a root must not also end a bisected
+        # bracket, or the same root comes back twice
+        f1, f2 = alternating_comb_pair()
+        kwargs = dict(hom_tol=1e-11, population_floor=1e-4)
+        (root,) = find_hom(SweepSpec(f1, f2, 1.0, 1.012, 5, **kwargs))
+        r = root.chi
+        if layout == "interior":
+            spec = SweepSpec(f1, f2, 1.0, 2 * r - 1.0, 3, **kwargs)
+        else:
+            spec = SweepSpec(f1, f2, 1.0, r, 5, **kwargs)
+        roots = find_hom(spec)
+        assert len(roots) == 1
+        assert roots[0].chi == pytest.approx(r, abs=1e-12)
+
     def test_disjoint_pair_empty(self):
         spec = SweepSpec(
             GaussianProfile(100.0, 1.0), GaussianProfile(140.0, 1.0), 1.0, 1.05, 9
