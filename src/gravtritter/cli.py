@@ -3,7 +3,7 @@
 Every subcommand reads a JSON config (``--config``), validates it against a
 schema that rejects unknown keys, and emits a JSON report or a CSV table
 with a reproducibility header carrying the library version and the fully
-resolved config.
+resolved config.  Each schema is compiled into a validator once, at import.
 
 Exit codes: 0 success, 2 schema violation, 3 domain/numerical error,
 4 unwritable output path.
@@ -19,6 +19,7 @@ import os
 import sys
 
 import jsonschema
+from jsonschema.validators import Draft202012Validator
 
 from . import __version__
 from .errors import GravTritterError
@@ -32,6 +33,7 @@ from .fock import (
 from .geometry import StaticSchwarzschildConfig, schwarzschild_chi, weak_field_chi
 from .modes import orthonormalize_pair, profile_from_json
 from .search import (
+    HomRoot,
     SweepSpec,
     find_hom,
     rows_to_csv,
@@ -183,6 +185,33 @@ SWEEP_SCHEMA = {
 }
 
 
+_ITEMS = Draft202012Validator.VALIDATORS["items"]
+
+
+def _items(validator, items, instance, schema):
+    """``items``, with arrays of plain JSON numbers checked in one pass.
+
+    ``type(x) in (int, float)`` is JSON Schema's ``number`` for parsed JSON
+    (it excludes ``bool``); any other array goes through jsonschema's own
+    per-item ``items``, which builds the errors.
+    """
+    if items == _NUM and isinstance(instance, list):
+        if {int, float}.issuperset(map(type, instance)):
+            return
+    yield from _ITEMS(validator, items, instance, schema)
+
+
+# Draft 2020-12 is what ``jsonschema.validate`` picks for these schemas,
+# which carry no ``$schema`` key; the metaschema check it repeats on every
+# call is a test instead.
+_Validator = jsonschema.validators.extend(Draft202012Validator, {"items": _items})
+_CHI = _Validator(CHI_SCHEMA)
+_NOGO = _Validator(NOGO_SCHEMA)
+_TRITTER = _Validator(TRITTER_SCHEMA)
+_EVOLVE = _Validator(EVOLVE_SCHEMA)
+_SWEEP = _Validator(SWEEP_SCHEMA)
+
+
 def _configure_logging():
     level = os.environ.get("GRAVTRITTER_LOG", "off").lower()
     if level == "debug":
@@ -201,8 +230,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _load_config(path: str, schema: dict) -> dict:
-    """Parse and validate a config; every number in it must be finite."""
+def _load_config(path: str, validator: _Validator) -> dict:
+    """Parse and validate a config; every number in it must be finite.
+
+    The error reported is the one ``jsonschema.validate`` would raise.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(
@@ -210,10 +242,9 @@ def _load_config(path: str, schema: dict) -> dict:
             )
     except (OSError, ValueError) as exc:
         raise _SchemaFailure(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise _SchemaFailure(f"config does not match schema: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise _SchemaFailure(f"config does not match schema: {error.message}")
     return doc
 
 
@@ -221,8 +252,9 @@ class _SchemaFailure(Exception):
     pass
 
 
-def _report(payload: dict, config: dict) -> dict:
-    return {"version": __version__, "config": config, **payload}
+def _emit_report(payload: dict, config: dict, out_path: str | None) -> int:
+    report = {"version": __version__, "config": config, **payload}
+    return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _emit(text: str, out_path: str | None) -> int:
@@ -239,7 +271,7 @@ def _emit(text: str, out_path: str | None) -> int:
 
 
 def cmd_chi(args) -> int:
-    config = _load_config(args.config, CHI_SCHEMA)
+    config = _load_config(args.config, _CHI)
     if "r_s" in config:
         chi = schwarzschild_chi(
             StaticSchwarzschildConfig(config["r_s"], config["r_A"], config["r_B"])
@@ -247,15 +279,15 @@ def cmd_chi(args) -> int:
     else:
         kwargs = {"c": config["c"]} if "c" in config else {}
         chi = weak_field_chi(config["g"], config["h"], **kwargs)
-    report = _report(
+    return _emit_report(
         {"chi": chi, "chi_sq": chi * chi, "omega_ratio": 1.0 / (chi * chi)},
         config,
+        args.out,
     )
-    return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def cmd_nogo(args) -> int:
-    config = _load_config(args.config, NOGO_SCHEMA)
+    config = _load_config(args.config, _NOGO)
     chis = [config["chi"]] if "chi" in config else config["chi_grid"]
     entries = []
     for chi in chis:
@@ -269,8 +301,7 @@ def cmd_nogo(args) -> int:
         )
         if abs(value - 1.0) > 1e-12:
             log.info("chi=%s: unitary shift impossible (norm %s)", chi, value)
-    report = _report({"results": entries}, config)
-    return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    return _emit_report({"results": entries}, config, args.out)
 
 
 def _build_mixer_from_config(config: dict):
@@ -282,9 +313,9 @@ def _build_mixer_from_config(config: dict):
 
 
 def cmd_tritter(args) -> int:
-    config = _load_config(args.config, TRITTER_SCHEMA)
+    config = _load_config(args.config, _TRITTER)
     u, angles, rec = _build_mixer_from_config(config)
-    report = _report(
+    return _emit_report(
         {
             "angles": {"theta": angles.theta, "phi": angles.phi, "psi": angles.psi},
             "overlaps": {
@@ -298,12 +329,12 @@ def cmd_tritter(args) -> int:
             "unitarity_residual": unitarity_residual(u),
         },
         config,
+        args.out,
     )
-    return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def cmd_evolve(args) -> int:
-    config = _load_config(args.config, EVOLVE_SCHEMA)
+    config = _load_config(args.config, _EVOLVE)
     if "angles" in config:
         theta, phi, psi = config["angles"]
         u = build_tritter(TritterAngles(theta, phi, psi))
@@ -316,7 +347,7 @@ def cmd_evolve(args) -> int:
     state = evolve_two_photon(u)
     rho = trace_out_third(state, n_max=2)
     rec = hom_record(u)
-    report = _report(
+    return _emit_report(
         {
             **extras,
             "amplitudes": {
@@ -334,8 +365,8 @@ def cmd_evolve(args) -> int:
             },
         },
         config,
+        args.out,
     )
-    return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _sweep_spec(config: dict) -> SweepSpec:
@@ -361,40 +392,20 @@ def _meta_comment(config: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config, SWEEP_SCHEMA)
+    config = _load_config(args.config, _SWEEP)
     rows = sweep_chi(_sweep_spec(config))
     if args.format == "csv":
         return _emit(rows_to_csv(rows, _meta_comment(config)), args.out)
-    report = _report({"rows": rows_to_json(rows)}, config)
-    return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    return _emit_report({"rows": rows_to_json(rows)}, config, args.out)
 
 
 def cmd_find_hom(args) -> int:
-    config = _load_config(args.config, SWEEP_SCHEMA)
+    config = _load_config(args.config, _SWEEP)
     roots = find_hom(_sweep_spec(config))
-    entries = [
-        {
-            "chi": r.chi,
-            "hom_coeff": r.hom_coeff,
-            "rho2020": r.rho2020,
-            "rho0202": r.rho0202,
-            "negativity": r.negativity,
-            "converged": r.converged,
-        }
-        for r in roots
-    ]
     if args.format == "csv":
-        lines = [f"# {_meta_comment(config)}"]
-        lines.append("chi,hom_coeff,rho2020,rho0202,negativity,converged")
-        for r in roots:
-            lines.append(
-                f"{r.chi:.12e},{r.hom_coeff:.12e},{r.rho2020:.12e},"
-                f"{r.rho0202:.12e},{r.negativity:.12e},{int(r.converged)}"
-            )
-        return _emit("\n".join(lines) + "\n", args.out)
-    report = _report({"roots": entries}, config)
+        return _emit(rows_to_csv(roots, _meta_comment(config), HomRoot), args.out)
     # An empty root list is a valid result, not a failure.
-    return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    return _emit_report({"roots": rows_to_json(roots)}, config, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,8 @@ Evaluation at omega <= 0 returns zero for every kind.  Overlaps
 half-line Gaussian integrals over lobe pairs; when either side is tabulated
 they are integrated by node-aligned Simpson on the intersection of the two
 profiles' effective supports (where the envelopes exceed 1e-16 of their
-peak).
+peak).  Such an overlap evaluates its integrand once, on one grid shared by
+the Simpson sum and its Richardson error estimate.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ class GaussianProfile:
         if self.omega0 <= 0:
             raise DomainError(f"gaussian peak must be positive, got {self.omega0}")
         if self.omega0 < 5.0 * self.sigma:
+            norm_sq = 0.5 * math.erfc(-self.omega0 / (math.sqrt(2.0) * self.sigma))
             warnings.warn(
                 f"gaussian peak {self.omega0} < 5 sigma ({self.sigma}); "
-                "omega>0 truncation error exceeds 1e-7",
+                f"half-line norm^2 erfc(-omega0/(sqrt(2) sigma))/2 = {norm_sq:.6g}, "
+                "below its 5-sigma value 1 - 2.9e-7",
                 stacklevel=3,
             )
 
@@ -235,25 +238,28 @@ def _lobe_overlap(f: CombProfile, g: CombProfile) -> complex:
 
 
 def _piecewise_inner(f, g, lo: float, hi: float) -> complex:
-    """Node-aligned composite Simpson with one Richardson error estimate."""
-    nodes = {lo, hi}
+    """Node-aligned composite Simpson with one Richardson error estimate.
+
+    The integrand is evaluated once, on the quarter grid of the nodes; the
+    coarse rule (on the nodes) and the fine rule (on nodes and midpoints)
+    read it through strided views.
+    """
+    parts = [[lo, hi]]
     for p in (f, g):
         if isinstance(p, TabulatedProfile):
-            inside = p.omega[(p.omega > lo) & (p.omega < hi)]
-            nodes.update(inside.tolist())
-    x = np.array(sorted(nodes))
+            parts.append(p.omega[(p.omega > lo) & (p.omega < hi)])
+    x = np.unique(np.concatenate(parts))
+    half = np.empty(2 * x.size - 1)
+    half[0::2], half[1::2] = x, 0.5 * (x[:-1] + x[1:])
+    quarter = np.empty(2 * half.size - 1)
+    quarter[0::2], quarter[1::2] = half, 0.5 * (half[:-1] + half[1:])
+    y = np.conj(f.evaluate(quarter)) * g.evaluate(quarter)
 
-    def simpson(grid):
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        fa = np.conj(f.evaluate(grid[:-1])) * g.evaluate(grid[:-1])
-        fm = np.conj(f.evaluate(mids)) * g.evaluate(mids)
-        fb = np.conj(f.evaluate(grid[1:])) * g.evaluate(grid[1:])
-        h = np.diff(grid)
-        return np.sum(h / 6.0 * (fa + 4.0 * fm + fb))
+    def simpson(grid, step):
+        ends, mids = y[::step], y[step // 2 :: step]
+        return np.sum(np.diff(grid) / 6.0 * (ends[:-1] + 4.0 * mids + ends[1:]))
 
-    coarse = simpson(x)
-    refined_grid = np.sort(np.concatenate([x, 0.5 * (x[:-1] + x[1:])]))
-    fine = simpson(refined_grid)
+    coarse, fine = simpson(x, 4), simpson(half, 2)
     err = abs(fine - coarse) / 15.0
     if err > QUAD_ABS_TOL:
         raise QuadratureError(achieved=float(err), requested=QUAD_ABS_TOL)

@@ -9,7 +9,7 @@ bracketing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -200,46 +200,25 @@ def _evaluate_root(pipeline, spec, chi, coeff, converged):
     )
 
 
-def rows_to_csv(rows: list[SweepRow], meta_comment: str | None = None) -> str:
-    """Deterministic CSV rendering: fixed header, %.12e fields, chi order."""
-    lines = []
-    if meta_comment is not None:
-        lines.append(f"# {meta_comment}")
-    lines.append(CSV_HEADER)
+def rows_to_csv(rows, meta_comment: str | None = None, row_type=SweepRow) -> str:
+    """Deterministic CSV rendering: one column per field of ``row_type``,
+    numbers as %.12e, flags as 0/1, rows in the order given."""
+    names = [f.name for f in fields(row_type)]
+    lines = [] if meta_comment is None else [f"# {meta_comment}"]
+    lines.append(",".join(names))
     for r in rows:
-        fields = [f"{r.chi:.12e}"] + [
-            f"{v:.12e}"
-            for v in (
-                r.theta,
-                r.phi,
-                r.psi,
-                r.hom_coeff,
-                r.rho2020,
-                r.rho0202,
-                r.rho1111,
-                r.negativity,
-                r.neg_bound,
-            )
-        ]
-        fields.append(r.status)
-        lines.append(",".join(fields))
+        lines.append(",".join(_csv_field(getattr(r, name)) for name in names))
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows: list[SweepRow]) -> list[dict]:
-    return [
-        {
-            "chi": r.chi,
-            "theta": r.theta,
-            "phi": r.phi,
-            "psi": r.psi,
-            "hom_coeff": r.hom_coeff,
-            "rho2020": r.rho2020,
-            "rho0202": r.rho0202,
-            "rho1111": r.rho1111,
-            "negativity": r.negativity,
-            "neg_bound": r.neg_bound,
-            "status": r.status,
-        }
-        for r in rows
-    ]
+def _csv_field(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return str(int(value))
+    return f"{value:.12e}"
+
+
+def rows_to_json(rows) -> list[dict]:
+    """Each row (a ``SweepRow`` or ``HomRoot``) as a dict of its fields."""
+    return [asdict(r) for r in rows]

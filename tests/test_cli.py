@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import Draft202012Validator
 
+from gravtritter import cli
 from gravtritter.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -249,3 +252,153 @@ class TestFindHomCommand:
         assert roots
         for r in roots:
             assert r["rho2020"] > 1e-4 and r["rho0202"] > 1e-4
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["PROFILE_SCHEMA", "CHI_SCHEMA", "NOGO_SCHEMA", "TRITTER_SCHEMA",
+     "EVOLVE_SCHEMA", "SWEEP_SCHEMA"],
+)
+def test_schema_passes_metaschema(name):
+    Draft202012Validator.check_schema(getattr(cli, name))
+
+
+TABLE = {
+    "kind": "tabulated",
+    "omega": [99.0, 100.0, 101.0, 102.0, 103.0],
+    "re": [0.0, 0.5, 1.0, 0.5, 0.0],
+    "im": [0.0, 0.1, 0.2, 0.1, 0.0],
+}
+# subcommand -> (schema the oracle checks against, validator the CLI uses,
+# a valid config)
+SCHEMA_CASES = {
+    "chi": (cli.CHI_SCHEMA, cli._CHI, {"g": 9.81, "h": 1.0}),
+    "nogo": (cli.NOGO_SCHEMA, cli._NOGO, {"chi_grid": [1.0, 1.1, 1.2]}),
+    "tritter": (
+        cli.TRITTER_SCHEMA, cli._TRITTER,
+        {"mode1": TABLE, "mode2": GAUSSIAN_PAIR["mode2"], "chi": 1.0},
+    ),
+    "evolve": (cli.EVOLVE_SCHEMA, cli._EVOLVE, {"angles": [0.0, 0.5, 0.0]}),
+    "sweep": (
+        cli.SWEEP_SCHEMA, cli._SWEEP,
+        {"mode1": GAUSSIAN_PAIR["mode1"], "mode2": TABLE,
+         "chi_lo": 1.0, "chi_hi": 1.01, "grid": 3},
+    ),
+}
+# (subcommand, path to a number array) for the array cases
+NUMBER_ARRAYS = [
+    ("nogo", ("chi_grid",)),
+    ("evolve", ("angles",)),
+    ("tritter", ("mode1", "omega")),
+    ("sweep", ("mode2", "re")),
+    ("sweep", ("mode2", "im")),
+]
+NOT_NUMBERS = ["1.0", True, None, [1.0], {"x": 1.0}]
+
+
+def _with(doc, path, value):
+    """Deep copy of doc with the entry at path (keys and indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+def _array_cases():
+    for command, path in NUMBER_ARRAYS:
+        array = SCHEMA_CASES[command][2]
+        for key in path:
+            array = array[key]
+        for index in (0, len(array) // 2, len(array) - 1):
+            for bad in NOT_NUMBERS:
+                yield command, path + (index,), bad
+
+
+OTHER_CASES = [
+    ("chi", ("g",), "9.81"),
+    ("chi", ("h",), None),
+    ("chi", ("extra",), 1),
+    ("nogo", ("chi_grid",), []),
+    ("nogo", ("chi_grid",), 1.0),
+    ("evolve", ("angles",), [0.0, 1.0]),
+    ("evolve", ("angles",), [0.0, 1.0, 2.0, 3.0]),
+    ("tritter", ("chi",), True),
+    ("tritter", ("orthonormalize",), 1),
+    ("tritter", ("mode1", "phase"), 0.0),
+    ("tritter", ("mode2", "sigma"), "1"),
+    ("sweep", ("grid",), 1),
+    ("sweep", ("grid",), 2.5),
+    ("sweep", ("seed",), 0),
+    ("sweep", ("mode1", "kind"), "lorentzian"),
+    ("sweep", ("mode2", "omega"), 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "command,path,value",
+    [
+        pytest.param(
+            command, path, value,
+            id=f"{command}-{'.'.join(map(str, path))}="
+            + json.dumps(value, separators=(",", ":")),
+        )
+        for command, path, value in [*_array_cases(), *OTHER_CASES]
+    ],
+)
+def test_schema_error_matches_jsonschema_validate(
+    tmp_path, capsys, command, path, value
+):
+    schema, validator, good = SCHEMA_CASES[command]
+    assert validator.schema is schema
+    doc = _with(good, path, value)
+    with pytest.raises(jsonschema.ValidationError) as oracle:
+        jsonschema.validate(doc, schema)
+    want = f"config does not match schema: {oracle.value.message}"
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(cli._SchemaFailure) as got:
+        cli._load_config(cfg, validator)
+    assert str(got.value) == want
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {want}\n"
+
+
+def test_number_tables_skip_per_item_validation(tmp_path, monkeypatch):
+    """A 100k-number table is checked without one descent per number, and
+    every load reuses the validator built at import."""
+    n = 33_334
+    omega = np.linspace(90.0, 110.0, n).tolist()
+    table = {"kind": "tabulated", "omega": omega, "re": [0.5] * n, "im": [0.0] * n}
+    doc = {**SWEEP_CONFIG, "mode1": table}
+    validator_cls = type(cli._SWEEP)
+    descend, iter_errors = validator_cls.descend, validator_cls.iter_errors
+    per_item, used = [], []
+
+    def counting_descend(self, instance, schema, path=None, **kwargs):
+        if isinstance(path, int):
+            per_item.append(path)
+        return descend(self, instance, schema, path=path, **kwargs)
+
+    def recording_iter_errors(self, instance):
+        if self.schema is cli.SWEEP_SCHEMA:  # the root, not a oneOf branch
+            used.append(self)
+        return iter_errors(self, instance)
+
+    monkeypatch.setattr(validator_cls, "descend", counting_descend)
+    monkeypatch.setattr(validator_cls, "iter_errors", recording_iter_errors)
+
+    cli._load_config(write_config(tmp_path, doc, "a.json"), cli._SWEEP)
+    # peaks of the comb in mode2: one descent per lobe, none per number
+    assert len(per_item) == len(SWEEP_CONFIG["mode2"]["peaks"])
+
+    per_item.clear()
+    bad = _with(doc, ("mode1", "im", n - 1), "0.0")
+    with pytest.raises(cli._SchemaFailure, match="is not of type 'number'"):
+        cli._load_config(write_config(tmp_path, bad, "b.json"), cli._SWEEP)
+    assert len(per_item) > n  # the fallback that builds the error descends
+
+    assert len(used) == 2 and used[0] is used[1] is cli._SWEEP

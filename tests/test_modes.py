@@ -103,7 +103,7 @@ class TestEvaluate:
             TabulatedProfile(np.array([2.0, 1.0]), np.array([1.0, 1.0], complex))
 
     def test_low_peak_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match=r"half-line norm\^2 .* = 0\.97725,"):
             GaussianProfile(2.0, 1.0)
 
 
@@ -155,7 +155,7 @@ class TestInnerProduct:
                 assert abs(inner_product(p, q) - simpson_overlap(p, q)) < 1e-12
 
     def test_low_peak_norm_is_half_line_share(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="half-line norm"):
             g = GaussianProfile(2.0, 1.0)
         norm_sq = inner_product(g, g)
         assert abs(norm_sq - 0.5 * math.erfc(-math.sqrt(2.0))) < 1e-15
@@ -166,6 +166,33 @@ class TestInnerProduct:
         g2 = GaussianProfile(12.0, 1.0)
         ov = inner_product(tabulated_from(g1), tabulated_from(g2))
         assert ov == pytest.approx(np.exp(-0.5), abs=1e-6)
+
+    def test_tabulated_overlap_matches_exact_piecewise_oracle(self, rng):
+        """Simpson on the merged nodes vs the exact integral of the product
+        of two linear interpolants, summed interval by interval."""
+        grid = np.sort(rng.uniform(10.0, 14.0, 301))
+        f = TabulatedProfile(
+            grid, np.exp(-((grid - 12.0) ** 2) / 2.0 + 0.7j * grid)
+        )
+        g = redshift_transform(f, 1.05)  # grid / 1.1025: partly overlapping
+        assert g.omega[0] < f.omega[0] < g.omega[-1] < f.omega[-1]
+        lo, hi = f.omega[0], g.omega[-1]
+        nodes = np.union1d(f.omega, g.omega)
+        nodes = nodes[(nodes >= lo) & (nodes <= hi)]
+
+        def linear(p, w):
+            return np.interp(w, p.omega, p.values.real) + 1j * np.interp(
+                w, p.omega, p.values.imag
+            )
+
+        a, b = np.conj(linear(f, nodes[:-1])), np.conj(linear(f, nodes[1:]))
+        c, d = linear(g, nodes[:-1]), linear(g, nodes[1:])
+        h = np.diff(nodes)
+        exact = complex(np.sum(h * (2 * a * c + a * d + b * c + 2 * b * d) / 6.0))
+        assert abs(exact) > 0.1
+        for got, want in ((inner_product(f, g), exact),
+                          (inner_product(g, f), exact.conjugate())):
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestRedshiftTransform:
