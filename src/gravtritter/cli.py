@@ -230,16 +230,32 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _overflowed(node) -> bool:
+    """Whether a parsed JSON value holds a number literal that became ±inf."""
+    if isinstance(node, dict):
+        return any(map(_overflowed, node.values()))
+    if isinstance(node, list):
+        try:  # an array of plain numbers, without a Python call per item
+            return not all(map(math.isfinite, node))
+        except (TypeError, OverflowError):  # other items, or an int > 1e308
+            return any(map(_overflowed, node))
+    return isinstance(node, float) and not math.isfinite(node)
+
+
 def _load_config(path: str, validator: _Validator) -> dict:
     """Parse and validate a config; every number in it must be finite.
 
-    The error reported is the one ``jsonschema.validate`` would raise.
+    ``NaN``/``Infinity`` literals fail at parse time.  A config with an
+    overflowing number such as ``1e400`` is parsed a second time, number by
+    number, so that the error names the literal.  The schema error reported
+    is the one ``jsonschema.validate`` would raise.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(
-                fh, parse_constant=_finite_float, parse_float=_finite_float
-            )
+            text = fh.read()
+        doc = json.loads(text, parse_constant=_finite_float)
+        if _overflowed(doc):
+            json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except (OSError, ValueError) as exc:
         raise _SchemaFailure(f"cannot read config {path}: {exc}") from exc
     error = jsonschema.exceptions.best_match(validator.iter_errors(doc))

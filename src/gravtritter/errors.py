@@ -10,7 +10,7 @@ class DomainError(GravTritterError, ValueError):
 
 
 class QuadratureError(GravTritterError, ArithmeticError):
-    """A Simpson overlap with a tabulated profile missed its tolerance.
+    """A Simpson overlap of a table with a gaussian/comb profile missed its tolerance.
 
     Attributes:
         achieved: Richardson error estimate actually reached by the rule.

@@ -10,12 +10,18 @@ the spectral wavepacket of a single photon.  Three kinds are supported:
   linear interpolation; zero outside the grid.
 
 Evaluation at omega <= 0 returns zero for every kind.  Overlaps
-<F,G> = int_0^inf F*(w) G(w) dw of gaussian/comb profiles are exact sums of
-half-line Gaussian integrals over lobe pairs; when either side is tabulated
-they are integrated by node-aligned Simpson on the intersection of the two
+<F,G> = int_0^inf F*(w) G(w) dw run over the intersection of the two
 profiles' effective supports (where the envelopes exceed 1e-16 of their
-peak).  Such an overlap evaluates its integrand once, on one grid shared by
-the Simpson sum and its Richardson error estimate.
+peak) and take one of three routes:
+
+* gaussian/comb with gaussian/comb: exact sums of half-line Gaussian
+  integrals over lobe pairs;
+* table with table: exact, since the product of two linear interpolants is
+  a quadratic between the merged nodes; each side is evaluated once, on
+  those nodes;
+* table with gaussian/comb: node-aligned Simpson, its integrand evaluated
+  once, on one grid shared by the Simpson sum and its Richardson error
+  estimate.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import DegeneracyError, DomainError, QuadratureError
 
 # Truncation level for effective support windows, relative to the peak.
 SUPPORT_REL_EPS = 1e-16
-# Absolute error bound for Simpson overlaps of tabulated profiles.
+# Absolute error bound for Simpson overlaps of a table with a gaussian/comb.
 QUAD_ABS_TOL = 1e-10
 
 # |F| falls below SUPPORT_REL_EPS of its peak this many sigmas out.
@@ -150,12 +156,9 @@ class TabulatedProfile:
         object.__setattr__(self, "values", vals)
 
     def evaluate(self, omega):
-        w = np.asarray(omega, dtype=float)
-        re = np.interp(w, self.omega, self.values.real, left=0.0, right=0.0)
-        im = np.interp(w, self.omega, self.values.imag, left=0.0, right=0.0)
-        inside = (w > 0) & (w >= self.omega[0]) & (w <= self.omega[-1])
-        out = np.where(inside, re + 1j * im, 0.0 + 0.0j)
-        return out[()] if np.isscalar(omega) or out.ndim == 0 else out
+        # fmax sends NaN and omega <= 0 to 0, left of the positive grid.
+        w = np.fmax(np.asarray(omega, dtype=float), 0.0)
+        return np.interp(w, self.omega, self.values, left=0.0, right=0.0)
 
     def support_window(self) -> tuple[float, float]:
         return (float(self.omega[0]), float(self.omega[-1]))
@@ -192,11 +195,13 @@ def inner_product(f: ModeProfile, g: ModeProfile) -> complex:
 
     Gaussian/comb pairs use the exact lobe-pair sum of :func:`_lobe_overlap`,
     cut-off at omega = 0 included.  If either side is tabulated, the
-    integral runs over the intersection of the effective supports by
-    node-aligned Simpson; a disjoint intersection yields exactly 0.
+    integral runs over the intersection of the effective supports, between
+    the merged table nodes: exactly for two tables, by Simpson for a table
+    and a gaussian/comb profile.  A disjoint intersection yields exactly 0.
 
     Raises:
-        QuadratureError: Simpson error estimate exceeds 1e-10.
+        QuadratureError: Simpson error estimate exceeds 1e-10 (a table and a
+            gaussian/comb profile only).
     """
     comb1, comb2 = _as_comb(f), _as_comb(g)
     if comb1 is not None and comb2 is not None:
@@ -206,8 +211,8 @@ def inner_product(f: ModeProfile, g: ModeProfile) -> complex:
     lo, hi = max(lo1, lo2), min(hi1, hi2)
     if lo >= hi:
         return 0.0 + 0.0j
-    # Composite Simpson between grid nodes is exact for products of linear
-    # interpolants, so the kinks of a table cost no accuracy.
+    # Integrating between the table nodes, the kinks of a table cost no
+    # accuracy.
     return _piecewise_inner(f, g, lo, hi)
 
 
@@ -238,17 +243,25 @@ def _lobe_overlap(f: CombProfile, g: CombProfile) -> complex:
 
 
 def _piecewise_inner(f, g, lo: float, hi: float) -> complex:
-    """Node-aligned composite Simpson with one Richardson error estimate.
+    """Overlap on [lo, hi] between the merged nodes of the tabulated sides.
 
-    The integrand is evaluated once, on the quarter grid of the nodes; the
-    coarse rule (on the nodes) and the fine rule (on nodes and midpoints)
-    read it through strided views.
+    Two tables: on each node interval the product of their linear
+    interpolants is a quadratic, integrated exactly from the values of each
+    side at the nodes.  A table and a parametric profile: composite Simpson
+    with one Richardson error estimate; the integrand is evaluated once, on
+    the quarter grid of the nodes, and the coarse rule (on the nodes) and
+    the fine rule (on nodes and midpoints) read it through strided views.
     """
     parts = [[lo, hi]]
     for p in (f, g):
         if isinstance(p, TabulatedProfile):
             parts.append(p.omega[(p.omega > lo) & (p.omega < hi)])
     x = np.unique(np.concatenate(parts))
+    if isinstance(f, TabulatedProfile) and isinstance(g, TabulatedProfile):
+        a, b = np.conj(f.evaluate(x)), g.evaluate(x)
+        a0, a1, b0, b1 = a[:-1], a[1:], b[:-1], b[1:]
+        terms = (2.0 * a0 + a1) * b0 + (a0 + 2.0 * a1) * b1
+        return complex(np.sum(np.diff(x) / 6.0 * terms))
     half = np.empty(2 * x.size - 1)
     half[0::2], half[1::2] = x, 0.5 * (x[:-1] + x[1:])
     quarter = np.empty(2 * half.size - 1)
@@ -340,7 +353,7 @@ def orthonormalize_pair(
     the subtraction stays in closed form as a weighted lobe list and every
     overlap is exact; if either input is tabulated, both outputs are
     tabulated on a merged grid so the projection coefficient and the final
-    orthogonality check share one Simpson rule.
+    orthogonality check share one exact rule.
 
     Raises:
         DegeneracyError: inputs numerically parallel.

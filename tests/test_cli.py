@@ -8,6 +8,7 @@ from jsonschema.validators import Draft202012Validator
 
 from gravtritter import cli
 from gravtritter.cli import main
+from gravtritter.search import CSV_HEADER
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,6 +96,25 @@ class TestTritterCommand:
             },
         )
         assert main(["tritter", "--config", cfg]) == 3
+
+    def test_quadrature_error_exit_3(self, tmp_path, capsys):
+        """A table and a lobe narrower than its node spacing, kept apart by
+        orthonormalize: false, reach the Simpson route and miss its bound."""
+        omega = np.linspace(90.0, 110.0, 6).tolist()
+        table = {"kind": "tabulated", "omega": omega, "re": [1.0] * 6, "im": [0.0] * 6}
+        cfg = write_config(
+            tmp_path,
+            {
+                "mode1": table,
+                "mode2": {"kind": "gaussian", "omega0": 100.5, "sigma": 0.05},
+                "chi": 1.0,
+                "orthonormalize": False,
+            },
+        )
+        assert main(["tritter", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: quadrature reached abs error 1.1")
 
     def test_matches_golden_matrix(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**GAUSSIAN_PAIR, "chi": 1.01})
@@ -226,6 +246,53 @@ def test_non_finite_config_exit_2(tmp_path, capsys, command, literal):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert literal in captured.err
+
+
+# The literal as the last item of a table's grid, and inside a number array.
+NON_FINITE_ARRAY_CONFIGS = {
+    "sweep": {
+        "mode1": {
+            "kind": "tabulated",
+            "omega": [90.0, 100.0, "@"],
+            "re": [0.0, 1.0, 0.0],
+            "im": [0.0, 0.0, 0.0],
+        },
+        "mode2": GAUSSIAN_PAIR["mode2"],
+        "chi_lo": 1.0,
+        "chi_hi": 1.01,
+        "grid": 3,
+    },
+    "nogo": {"chi_grid": [1.0, "@", 1.01]},
+}
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("command", sorted(NON_FINITE_ARRAY_CONFIGS))
+def test_non_finite_number_array_exit_2(tmp_path, capsys, command, literal):
+    path = tmp_path / "config.json"
+    text = json.dumps(NON_FINITE_ARRAY_CONFIGS[command]).replace('"@"', literal)
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"non-finite number {literal} is not allowed" in captured.err
+
+
+def test_main_calls_in_sequence_share_no_options(tmp_path, capsys):
+    """No --format or --out value of one call leaks into the next call in
+    the same process."""
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "roots.json"
+    argv = ["find-hom", "--config", cfg, "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert "roots" in json.loads(out.read_text())
+    code, text = run(capsys, ["sweep", "--config", cfg])
+    assert code == 0
+    assert text.startswith("#") and CSV_HEADER in text.splitlines()
+    chi_cfg = write_config(tmp_path, {"g": 0.0, "h": 1.0}, "chi.json")
+    code, text = run(capsys, ["chi", "--config", chi_cfg])
+    assert code == 0 and json.loads(text)["chi"] == 1.0
 
 
 class TestFindHomCommand:

@@ -10,6 +10,7 @@ from gravtritter import (
     DegeneracyError,
     DomainError,
     GaussianProfile,
+    QuadratureError,
     TabulatedProfile,
     inner_product,
     make_comb,
@@ -93,6 +94,18 @@ class TestEvaluate:
         assert t.evaluate(0.5) == 0.0
         assert t.evaluate(3.5) == 0.0
         assert t.evaluate(1.5) == pytest.approx(1.5)
+        c = TabulatedProfile(
+            np.array([1.0, 2.0, 3.0]), np.array([1 + 2j, 2 - 1j, -1 + 0.5j])
+        )
+        assert c.evaluate(1.0) == 1 + 2j and c.evaluate(3.0) == -1 + 0.5j
+        assert c.evaluate(1.5) == pytest.approx(1.5 + 0.5j, abs=1e-15)
+        w = np.array([-1.0, 0.0, 0.5, 1.0, 2.5, 3.0, 3.5, np.nan, np.inf, -np.inf])
+        want = np.array([0, 0, 0, 1 + 2j, 0.5 - 0.25j, -1 + 0.5j, 0, 0, 0, 0])
+        got = c.evaluate(w)
+        assert got.shape == w.shape and got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-15
+        for x in (-1.0, 0.0, np.nan):
+            assert c.evaluate(x) == 0.0
 
     def test_bad_parameters(self):
         with pytest.raises(DomainError):
@@ -193,6 +206,66 @@ class TestInnerProduct:
         for got, want in ((inner_product(f, g), exact),
                           (inner_product(g, f), exact.conjugate())):
             assert abs(got - want) <= 1e-13 * abs(want)
+
+
+    def test_table_pair_overlap_matches_simpson_on_midpoints(self, rng):
+        """Exact route vs scipy Simpson on the merged nodes and their
+        midpoints, which is exact for the piecewise quadratic integrand."""
+        fine = np.sort(rng.uniform(10.0, 14.0, 401))
+        coarse = np.sort(rng.uniform(11.0, 13.0, 37))
+        f = TabulatedProfile(fine, np.exp(-((fine - 12.0) ** 2) + 0.7j * fine))
+        g = TabulatedProfile(coarse, np.cos(coarse) + 1j * np.sin(2.0 * coarse))
+        pairs = [(f, g), (g, f), (f, redshift_transform(f, 1.03)),
+                 (redshift_transform(g, 0.98), f), (f, f)]
+        for p, q in pairs:
+            lo = max(p.omega[0], q.omega[0])
+            hi = min(p.omega[-1], q.omega[-1])
+            nodes = np.union1d(p.omega, q.omega)
+            nodes = nodes[(nodes >= lo) & (nodes <= hi)]
+            w = np.empty(2 * nodes.size - 1)
+            w[0::2], w[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
+
+            def linear(t):
+                return np.interp(w, t.omega, t.values.real) + 1j * np.interp(
+                    w, t.omega, t.values.imag
+                )
+
+            want = simpson(np.conj(linear(p)) * linear(q), x=w)
+            assert abs(want) > 0.05
+            assert abs(inner_product(p, q) - want) <= 1e-13 * abs(want)
+
+    def test_table_pair_overlap_evaluates_each_side_on_the_nodes(
+        self, monkeypatch
+    ):
+        """Counting guard, no timing: one table x table overlap evaluates
+        each side on no more points than there are merged nodes."""
+        f = tabulated_from(GaussianProfile(10.0, 1.0), n=1001)
+        g = redshift_transform(tabulated_from(GaussianProfile(10.5, 1.0), n=777), 1.01)
+        lo, hi = max(f.omega[0], g.omega[0]), min(f.omega[-1], g.omega[-1])
+        nodes = np.union1d(f.omega, g.omega)
+        n_nodes = np.count_nonzero((nodes >= lo) & (nodes <= hi))
+        points = {id(f): 0, id(g): 0}
+        evaluate = TabulatedProfile.evaluate
+
+        def counting_evaluate(self, omega):
+            points[id(self)] += np.size(omega)
+            return evaluate(self, omega)
+
+        monkeypatch.setattr(TabulatedProfile, "evaluate", counting_evaluate)
+        assert abs(inner_product(f, g)) > 0.5
+        assert 0 < points[id(f)] <= n_nodes
+        assert 0 < points[id(g)] <= n_nodes
+
+    @pytest.mark.parametrize("table_first", [True, False])
+    def test_table_with_narrow_gaussian_raises_quadrature_error(self, table_first):
+        """A lobe narrower than the table's node spacing: the Simpson route's
+        Richardson estimate exceeds its bound."""
+        table = TabulatedProfile(np.linspace(90.0, 110.0, 6), np.ones(6, complex))
+        pair = (table, GaussianProfile(100.5, 0.05))
+        with pytest.raises(QuadratureError) as got:
+            inner_product(*(pair if table_first else pair[::-1]))
+        assert got.value.achieved == pytest.approx(0.114, abs=0.005)
+        assert got.value.requested == 1e-10
 
 
 class TestRedshiftTransform:
