@@ -22,6 +22,10 @@ peak) and take one of three routes:
 * table with gaussian/comb: node-aligned Simpson, its integrand evaluated
   once, on one grid shared by the Simpson sum and its Richardson error
   estimate.
+
+``overlap_matrix`` takes a route once for many pairs (``inner_product`` is
+its 1x1 case): one broadcast over all lobe pairs, or one set of merged nodes
+for tables on one row grid and one column grid.
 """
 
 from __future__ import annotations
@@ -191,45 +195,56 @@ def profile_from_json(doc: dict) -> ModeProfile:
 
 
 def inner_product(f: ModeProfile, g: ModeProfile) -> complex:
-    """Overlap <F,G> = int_0^inf F*(w) G(w) dw.
+    """Overlap <F,G> = int_0^inf F*(w) G(w) dw: the 1x1 case of
+    :func:`overlap_matrix`.
 
-    Gaussian/comb pairs use the exact lobe-pair sum of :func:`_lobe_overlap`,
-    cut-off at omega = 0 included.  If either side is tabulated, the
-    integral runs over the intersection of the effective supports, between
-    the merged table nodes: exactly for two tables, by Simpson for a table
-    and a gaussian/comb profile.  A disjoint intersection yields exactly 0.
+    Gaussian/comb pairs use the exact lobe-pair sum, cut-off at omega = 0
+    included.  If either side is tabulated, the integral runs over the
+    intersection of the effective supports, between the merged table nodes:
+    exactly for two tables, by Simpson for a table and a gaussian/comb
+    profile.  A disjoint intersection yields exactly 0.
 
     Raises:
         QuadratureError: Simpson error estimate exceeds 1e-10 (a table and a
             gaussian/comb profile only).
     """
-    comb1, comb2 = _as_comb(f), _as_comb(g)
-    if comb1 is not None and comb2 is not None:
-        return _lobe_overlap(comb1, comb2)
-    lo1, hi1 = f.support_window()
-    lo2, hi2 = g.support_window()
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if lo >= hi:
-        return 0.0 + 0.0j
-    # Integrating between the table nodes, the kinks of a table cost no
-    # accuracy.
-    return _piecewise_inner(f, g, lo, hi)
+    return complex(overlap_matrix((f,), (g,))[0, 0])
 
 
-_erfc = np.vectorize(math.erfc, otypes=[float])
+def overlap_matrix(rows, cols) -> np.ndarray:
+    """Overlaps M[i, j] = <rows[i], cols[j]>, each equal bit for bit to the
+    pair's own; pairs that share a route and its nodes share one pass.
+
+    Raises:
+        QuadratureError: as :func:`inner_product`.
+    """
+    views = [_as_comb(p) for p in (*rows, *cols)]
+    if all(v is not None for v in views):
+        return _lobe_overlaps(views[: len(rows)], views[len(rows) :])
+    if _shared_nodes(rows) and _shared_nodes(cols):
+        return _piecewise_inner(rows, cols)
+    return np.array([[inner_product(f, g) for g in cols] for f in rows])
 
 
-def _lobe_overlap(f: CombProfile, g: CombProfile) -> complex:
-    """Exact sum over lobe pairs of half-line Gaussian integrals.
+def _erfc(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erfc, x.flat), float, x.size).reshape(x.shape)
+
+
+def _lobe_overlaps(rows, cols) -> np.ndarray:
+    """Exact sums over lobe pairs of half-line Gaussian integrals.
 
     Lobes (w_i, a, s1) of F and (w_j, b, s2) of G contribute their full-line
     overlap conj(w_i) w_j sqrt(2 s1 s2 / V) exp(-(a - b)^2 / (4 V)), with
     V = s1^2 + s2^2, times the share erfc(-mu sqrt(A)) / 2 of the product
     Gaussian on w > 0; A = 1/(4 s1^2) + 1/(4 s2^2) is its inverse scale and
-    mu = (a/(4 s1^2) + b/(4 s2^2)) / A its centre.
+    mu = (a/(4 s1^2) + b/(4 s2^2)) / A its centre.  One broadcast gives the
+    terms of all lobe pairs; a contiguous copy of each profile pair's block
+    sums in the order of that pair alone.
     """
-    w1, a, s1 = (np.array(col)[:, None] for col in zip(*f.peaks))
-    w2, b, s2 = (np.array(col)[None, :] for col in zip(*g.peaks))
+    lobes1 = [lobe for p in rows for lobe in p.peaks]
+    lobes2 = [lobe for p in cols for lobe in p.peaks]
+    w1, a, s1 = (np.array(col)[:, None] for col in zip(*lobes1))
+    w2, b, s2 = (np.array(col)[None, :] for col in zip(*lobes2))
     var = s1**2 + s2**2
     mu_sqrt_a = (a * s2**2 + b * s1**2) / (2.0 * s1 * s2 * np.sqrt(var))
     terms = (
@@ -239,44 +254,79 @@ def _lobe_overlap(f: CombProfile, g: CombProfile) -> complex:
         * np.exp(-((a - b) ** 2) / (4.0 * var))
         * (0.5 * _erfc(-mu_sqrt_a))
     )
-    return complex(terms.sum())
+    r, c = (np.cumsum([0] + [len(p.peaks) for p in side]) for side in (rows, cols))
+    return np.array([
+        [np.ascontiguousarray(terms[r0:r1, c0:c1]).sum() for c0, c1 in zip(c, c[1:])]
+        for r0, r1 in zip(r, r[1:])
+    ])
 
 
-def _piecewise_inner(f, g, lo: float, hi: float) -> complex:
-    """Overlap on [lo, hi] between the merged nodes of the tabulated sides.
+def _shared_nodes(profiles) -> bool:
+    """One profile, or tables on one grid."""
+    return len(profiles) == 1 or all(
+        isinstance(p, TabulatedProfile) and np.array_equal(p.omega, profiles[0].omega)
+        for p in profiles
+    )
+
+
+def _sorted_union(parts) -> np.ndarray:
+    """Distinct values of sorted arrays, ascending: a stable sort merges the
+    sorted runs in linear time, where np.unique would sort them afresh."""
+    x = np.concatenate(parts)
+    x.sort(kind="stable")
+    return x[np.concatenate(([True], np.diff(x) > 0))]
+
+
+def _piecewise_inner(rows, cols) -> np.ndarray:
+    """Overlaps on the merged nodes that all pairs of rows and cols share.
 
     Two tables: on each node interval the product of their linear
     interpolants is a quadratic, integrated exactly from the values of each
     side at the nodes.  A table and a parametric profile: composite Simpson
-    with one Richardson error estimate; the integrand is evaluated once, on
-    the quarter grid of the nodes, and the coarse rule (on the nodes) and
-    the fine rule (on nodes and midpoints) read it through strided views.
+    with one Richardson error estimate, on the quarter grid of the nodes;
+    the coarse rule (on the nodes) and the fine rule (on nodes and
+    midpoints) read it through strided views.  Each profile is evaluated
+    once.
     """
-    parts = [[lo, hi]]
-    for p in (f, g):
-        if isinstance(p, TabulatedProfile):
-            parts.append(p.omega[(p.omega > lo) & (p.omega < hi)])
-    x = np.unique(np.concatenate(parts))
-    if isinstance(f, TabulatedProfile) and isinstance(g, TabulatedProfile):
-        a, b = np.conj(f.evaluate(x)), g.evaluate(x)
-        a0, a1, b0, b1 = a[:-1], a[1:], b[:-1], b[1:]
-        terms = (2.0 * a0 + a1) * b0 + (a0 + 2.0 * a1) * b1
-        return complex(np.sum(np.diff(x) / 6.0 * terms))
-    half = np.empty(2 * x.size - 1)
-    half[0::2], half[1::2] = x, 0.5 * (x[:-1] + x[1:])
-    quarter = np.empty(2 * half.size - 1)
-    quarter[0::2], quarter[1::2] = half, 0.5 * (half[:-1] + half[1:])
-    y = np.conj(f.evaluate(quarter)) * g.evaluate(quarter)
+    f, g = rows[0], cols[0]
+    lo = max(f.support_window()[0], g.support_window()[0])
+    hi = min(f.support_window()[1], g.support_window()[1])
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    if lo >= hi:
+        return out
+    tables = [p for p in (f, g) if isinstance(p, TabulatedProfile)]
+    inside = [t.omega[(t.omega > lo) & (t.omega < hi)] for t in tables]
+    x = _sorted_union([[lo, hi], *inside])
+    exact = len(tables) == 2
+    if not exact:
+        half = np.empty(2 * x.size - 1)
+        half[0::2], half[1::2] = x, 0.5 * (x[:-1] + x[1:])
+        quarter = np.empty(2 * half.size - 1)
+        quarter[0::2], quarter[1::2] = half, 0.5 * (half[:-1] + half[1:])
+    nodes = x if exact else quarter
+    b = [q.evaluate(nodes) for q in cols]
+    for i, p in enumerate(rows):
+        a = np.conj(p.evaluate(nodes))
+        a0, a1 = a[:-1], a[1:]
+        for j, bj in enumerate(b):
+            if exact:
+                terms = (2.0 * a0 + a1) * bj[:-1] + (a0 + 2.0 * a1) * bj[1:]
+                out[i, j] = np.sum(np.diff(x) / 6.0 * terms)
+            else:
+                out[i, j] = _simpson(x, half, a * bj)
+    return out
 
-    def simpson(grid, step):
+
+def _simpson(x, half, y) -> complex:
+    def rule(grid, step):
         ends, mids = y[::step], y[step // 2 :: step]
         return np.sum(np.diff(grid) / 6.0 * (ends[:-1] + 4.0 * mids + ends[1:]))
 
-    coarse, fine = simpson(x, 4), simpson(half, 2)
+    coarse, fine = rule(x, 4), rule(half, 2)
     err = abs(fine - coarse) / 15.0
     if err > QUAD_ABS_TOL:
         raise QuadratureError(achieved=float(err), requested=QUAD_ABS_TOL)
-    return complex(fine)
+    return fine
 
 
 def norm(profile: ModeProfile) -> float:
@@ -340,7 +390,7 @@ def _merged_grid(f: ModeProfile, g: ModeProfile, points_per_window: int = 4001):
             lo, hi = p.support_window()
             lo = max(lo, np.finfo(float).tiny)
             parts.append(np.linspace(lo, hi, points_per_window))
-    grid = np.unique(np.concatenate(parts))
+    grid = _sorted_union(parts)
     return grid[grid > 0]
 
 

@@ -4,11 +4,14 @@ A sweep evaluates the full pipeline (mode pair -> mixer -> two-photon state
 -> reduced density matrix) on a chi grid.  Root finding operates on the
 signed coincidence quantity U11 U22 + U12 U21, which is real for the
 zero-phase mixer; its modulus has no sign change and would defeat
-bracketing.
+bracketing.  Each sign change on the grid is refined by Brent's method
+(inverse quadratic and secant steps inside the bracket, bisection when they
+stall), which reuses the grid values at the bracket ends.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -24,7 +27,9 @@ from .fock import (
 from .modes import ModeProfile, orthonormalize_pair
 from .tritter import tritter_from_modes
 
-_BISECT_MAX_ITER = 200
+# Cap on one bracket's refinement, which reaches float resolution long before.
+_ROOT_MAX_EVALS = 200
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -138,9 +143,11 @@ def find_hom(spec: SweepSpec) -> list[HomRoot]:
     """Locate interference points on the chi grid.
 
     Scans for sign changes of the signed coincidence quantity, refines each
-    bracket by bisection to |value| < hom_tol (up to 200 iterations), and
-    keeps only roots where both double-occupation populations exceed the
-    population floor.  No bracket found is an empty list, not an error.
+    bracket by Brent's method to |value| < hom_tol, and keeps only roots
+    where both double-occupation populations exceed the population floor.
+    A bracket that shrinks to float resolution first gives its best point,
+    flagged ``converged=False``.  No bracket found is an empty list, not an
+    error.
     """
     pipeline = _Pipeline(spec)
     grid = spec.chi_values()
@@ -158,7 +165,9 @@ def find_hom(spec: SweepSpec) -> list[HomRoot]:
         # A right end already below hom_tol is reported as a grid-point root.
         if fa * fb >= 0 or abs(fb) < spec.hom_tol:
             continue
-        chi_root, val, converged = _bisect(pipeline, a, b, fa, fb, spec.hom_tol)
+        chi_root, val, converged = _brent(
+            pipeline.signed_coincidence, a, b, fa, fb, spec.hom_tol
+        )
         root = _evaluate_root(pipeline, spec, chi_root, abs(val), converged)
         if root is not None:
             roots.append(root)
@@ -171,19 +180,42 @@ def find_hom(spec: SweepSpec) -> list[HomRoot]:
     return roots
 
 
-def _bisect(pipeline, a, b, fa, fb, tol):
-    val = fa
-    mid = a
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (a + b)
-        val = pipeline.signed_coincidence(mid)
-        if abs(val) < tol:
-            return mid, val, True
-        if fa * val < 0:
-            b, fb = mid, val
+def _brent(f, a, b, fa, fb, tol):
+    """Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) on [a, b], where fa = f(a) and fb = f(b)
+    differ in sign.  b is the best point, [b, c] the bracket, a the previous
+    b.  Each step is an inverse quadratic (or secant) step, or a bisection
+    when that would not shrink the bracket fast enough.  Returns (chi,
+    f(chi), |f| < tol) once |f| < tol or the bracket is below float
+    resolution.
+    """
+    for _ in range(_ROOT_MAX_EVALS):
+        if (fa > 0) != (fb > 0):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        half = 0.5 * (c - b)
+        delta = 2.0 * _EPS * abs(b)
+        if abs(fb) < tol or fb == 0.0 or abs(half) < delta:
+            return b, fb, abs(fb) < tol
+        if abs(prev_step) > delta and abs(fb) < abs(fa):
+            if a == c:
+                trial = -fb * (b - a) / (fb - fa)
+            else:
+                da, dc = (fa - fb) / (a - b), (fc - fb) / (c - b)
+                trial = -fb * (fc * dc - fa * da) / (da * dc * (fc - fa))
+            if 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - delta):
+                prev_step, step = step, trial
+            else:
+                prev_step = step = half
         else:
-            a, fa = mid, val
-    return mid, val, False
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > delta else math.copysign(delta, half)
+        fb = f(b)
+    return b, fb, abs(fb) < tol
 
 
 def _evaluate_root(pipeline, spec, chi, coeff, converged):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InconsistencyError
-from .modes import ModeProfile, inner_product, redshift_transform
+from .modes import ModeProfile, inner_product, overlap_matrix, redshift_transform
 
 # Slack distinguishing float noise from genuinely inconsistent overlaps.
 _BOUND_SLACK = 1e-9
@@ -132,9 +132,11 @@ def tritter_from_modes(
 ) -> tuple[np.ndarray, TritterAngles, OverlapRecord]:
     """Mixer induced by redshift chi on an orthonormal profile pair.
 
-    The caller orthonormalizes first; <F1,F2> must vanish to 1e-6.
-    Returns the matrix, the extracted angles, and the raw overlap record
-    (including the diagnostic fourth overlap <F1', F2>).
+    The caller orthonormalizes first; <F1,F2> must vanish to 1e-6.  The
+    four overlaps of (F1', F2') with (F1, F2) come from one
+    :func:`overlap_matrix` pass.  Returns the matrix, the extracted angles,
+    and the raw overlap record (including the diagnostic fourth overlap
+    <F1', F2>).
     """
     c0 = inner_product(f1, f2)
     if abs(c0) > 1e-6:
@@ -143,10 +145,7 @@ def tritter_from_modes(
         )
     f1p = redshift_transform(f1, chi)
     f2p = redshift_transform(f2, chi)
-    c11 = inner_product(f1p, f1)
-    c22 = inner_product(f2p, f2)
-    c21 = inner_product(f2p, f1)
-    c12 = inner_product(f1p, f2)
+    (c11, c12), (c21, c22) = overlap_matrix((f1p, f2p), (f1, f2)).tolist()
     angles = angles_from_overlaps(abs(c11), abs(c22), abs(c21))
     u = build_tritter(angles)
     record = OverlapRecord(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import Draft202012Validator
 
+import gravtritter
 from gravtritter import cli
 from gravtritter.cli import main
 from gravtritter.search import CSV_HEADER
@@ -293,6 +297,29 @@ def test_main_calls_in_sequence_share_no_options(tmp_path, capsys):
     chi_cfg = write_config(tmp_path, {"g": 0.0, "h": 1.0}, "chi.json")
     code, text = run(capsys, ["chi", "--config", chi_cfg])
     assert code == 0 and json.loads(text)["chi"] == 1.0
+
+
+def test_commands_import_no_scipy(tmp_path):
+    """scipy is a test dependency only: importing it would add about half a
+    second and 47 MB to every command.  A fresh interpreter runs sweep and
+    find-hom and reports whether any scipy module got loaded."""
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    script = "\n".join([
+        "import sys",
+        "from gravtritter import cli",
+        "for command in ('sweep', 'find-hom'):",
+        f"    argv = [command, '--config', {cfg!r}, '--out', {os.devnull!r}]",
+        "    assert cli.main(argv) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    path = [str(Path(gravtritter.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestFindHomCommand:

@@ -18,6 +18,7 @@ from gravtritter import (
     profile_from_json,
     redshift_transform,
 )
+from gravtritter.modes import overlap_matrix
 from conftest import gaussian_overlap
 
 CHI_GRID = [0.5, 0.9, 1.0, 1.1, 2.0]
@@ -354,6 +355,92 @@ class TestOrthonormalizePair:
         assert isinstance(e2, TabulatedProfile)
         assert abs(inner_product(e1, e2)) < 1e-8
         assert inner_product(e2, e2) == pytest.approx(1.0, abs=1e-8)
+
+
+class TestOverlapMatrix:
+    """Each entry of the one-pass matrix is the pair's own overlap, bit for
+    bit: the block sums and the shared table nodes change no arithmetic."""
+
+    @staticmethod
+    def assert_pairwise(rows, cols):
+        m = overlap_matrix(rows, cols)
+        assert m.shape == (len(rows), len(cols))
+        for i, f in enumerate(rows):
+            for j, g in enumerate(cols):
+                assert m[i, j] == inner_product(f, g)
+
+    def test_gaussian_pairs(self):
+        gs = [GaussianProfile(10.0, 1.0), GaussianProfile(11.0, 1.5, 0.7),
+              GaussianProfile(9.0, 0.8, 2.0)]
+        self.assert_pairwise(gs[:2], gs)
+        self.assert_pairwise([redshift_transform(g, 1.05) for g in gs], gs[1:])
+
+    def test_three_lobe_comb_pairs(self, rng):
+        f1 = make_comb([(1, 100, 1), (-1, 104, 1), (1, 108, 1)])
+        f2 = make_comb([(1, 102, 1), (-1, 106, 1), (1, 110, 1)])
+        rows = [redshift_transform(f, 1.007) for f in (f1, f2)]
+        self.assert_pairwise(rows, [f1, f2])
+        self.assert_pairwise([random_profile(rng), f1], [f2, random_profile(rng)])
+
+    @pytest.mark.parametrize("chi", [0.97, 1.0, 1.0043])
+    def test_gram_schmidt_output(self, chi):
+        # the second output carries the 3 lobes of each input: 6 lobes
+        e1, e2 = orthonormalize_pair(
+            make_comb([(1, 100, 1), (-1, 104, 1), (1, 108, 1)]),
+            make_comb([(1, 101, 1), (-1, 105, 1), (1, 109, 1)]),
+        )
+        assert (len(e1.peaks), len(e2.peaks)) == (3, 6)
+        rows = [redshift_transform(e, chi) for e in (e1, e2)]
+        self.assert_pairwise(rows, [e1, e2])
+        self.assert_pairwise([e1, e2], [e1, e2])
+
+    @pytest.mark.parametrize("chi", [0.99, 1.0043, 1.3])
+    def test_table_pairs(self, chi):
+        e1, e2 = orthonormalize_pair(
+            tabulated_from(GaussianProfile(100.0, 1.0), n=2001),
+            tabulated_from(GaussianProfile(101.5, 1.2), n=1501),
+        )
+        rows = [redshift_transform(e, chi) for e in (e1, e2)]
+        assert rows[0].omega is not rows[1].omega
+        self.assert_pairwise(rows, [e1, e2])
+
+    def test_tables_on_different_grids_go_pair_by_pair(self):
+        t1 = tabulated_from(GaussianProfile(10.0, 1.0), n=1001)
+        t2 = tabulated_from(GaussianProfile(10.5, 1.0), n=777)
+        self.assert_pairwise([t1, redshift_transform(t2, 1.01)], [t1, t2])
+
+    def test_table_pairs_evaluate_each_table_once(self, monkeypatch):
+        """Counting guard: a 2x2 matrix of tables evaluates each of its four
+        tables once, on one merged node set."""
+        e1, e2 = orthonormalize_pair(
+            tabulated_from(GaussianProfile(100.0, 1.0), n=2001),
+            tabulated_from(GaussianProfile(101.5, 1.2), n=1501),
+        )
+        rows = [redshift_transform(e, 1.01) for e in (e1, e2)]
+        sizes = []
+        evaluate = TabulatedProfile.evaluate
+
+        def counting_evaluate(self, omega):
+            sizes.append(np.size(omega))
+            return evaluate(self, omega)
+
+        monkeypatch.setattr(TabulatedProfile, "evaluate", counting_evaluate)
+        overlap_matrix(rows, [e1, e2])
+        assert len(sizes) == 4 and len(set(sizes)) == 1
+
+    def test_table_with_gaussian_takes_simpson_route(self):
+        table = tabulated_from(GaussianProfile(10.0, 1.0), n=2001)
+        gs = [GaussianProfile(10.3, 1.0), GaussianProfile(9.8, 1.2, 0.4)]
+        self.assert_pairwise([table], gs)
+        self.assert_pairwise(gs, [table, gs[0]])
+
+    @pytest.mark.parametrize("table_first", [True, False])
+    def test_table_with_narrow_gaussian_raises_quadrature_error(self, table_first):
+        table = TabulatedProfile(np.linspace(90.0, 110.0, 6), np.ones(6, complex))
+        narrow = GaussianProfile(100.5, 0.05)
+        rows, cols = ([table], [table, narrow]) if table_first else ([narrow], [table])
+        with pytest.raises(QuadratureError):
+            overlap_matrix(rows, cols)
 
 
 class TestMakeComb:

@@ -9,6 +9,7 @@ from gravtritter import (
     make_comb,
     sweep_chi,
 )
+from gravtritter import search
 from gravtritter.search import CSV_HEADER, rows_to_csv, rows_to_json
 
 
@@ -128,6 +129,88 @@ class TestFindHom:
             GaussianProfile(100.0, 1.0), GaussianProfile(140.0, 1.0), 1.0, 1.05, 9
         )
         assert find_hom(spec) == []
+
+
+class TestRootRefinement:
+    """Counting guards on the bracket refinement of ``find_hom``, no timing:
+    each test counts the signed-coincidence evaluations it makes."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        seen = []
+        signed_coincidence = search._Pipeline.signed_coincidence
+
+        def counting(pipeline, chi):
+            value = signed_coincidence(pipeline, chi)
+            seen.append((chi, value))
+            return value
+
+        monkeypatch.setattr(search._Pipeline, "signed_coincidence", counting)
+        return seen
+
+    @staticmethod
+    def criterion6_spec(hom_tol=1e-11):
+        f1, f2 = alternating_comb_pair()
+        return SweepSpec(f1, f2, 1.0, 1.012, 5, hom_tol=hom_tol, population_floor=1e-4)
+
+    @staticmethod
+    def brackets(spec, evaluations):
+        values = [v for _chi, v in evaluations[: spec.grid]]
+        return sum(a * b < 0 for a, b in zip(values, values[1:]))
+
+    def test_at_most_12_evaluations_per_bracket(self, evaluations):
+        spec = self.criterion6_spec()
+        (root,) = find_hom(spec)
+        assert root.converged
+        assert self.brackets(spec, evaluations) == 1
+        assert len(evaluations) - spec.grid <= 12
+
+    def test_root_agrees_with_scipy_brentq(self, evaluations):
+        from scipy.optimize import brentq
+
+        spec = self.criterion6_spec()
+        (root,) = find_hom(spec)
+        grid = spec.chi_values()
+        i = int(np.searchsorted(grid, root.chi)) - 1
+        want = brentq(
+            search._Pipeline(spec).signed_coincidence, grid[i], grid[i + 1],
+            xtol=1e-15,
+        )
+        assert abs(root.chi - want) <= 1e-12
+
+    def test_unreachable_tol_stops_at_float_resolution(self, evaluations):
+        spec = self.criterion6_spec(hom_tol=1e-300)
+        (root,) = find_hom(spec)
+        assert not root.converged
+        refined = evaluations[spec.grid :]
+        assert len(refined) < 60
+        # the bracket collapsed: a point of the other sign lies within a few
+        # units in the last place of the returned chi
+        value = dict(evaluations)[root.chi]
+        assert any(
+            v * value < 0 and abs(chi - root.chi) <= 4 * np.spacing(root.chi)
+            for chi, v in evaluations
+        )
+
+    @pytest.mark.parametrize(
+        "f, a, b, want",
+        [
+            (lambda x: x**3 - 2.0, 1.0, 2.0, 2.0 ** (1 / 3)),
+            (np.cos, 0.0, 3.0, np.pi / 2),
+            (lambda x: np.tanh(50.0 * (x - 0.7)), -3.0, 1.0, 0.7),
+        ],
+    )
+    def test_brent_on_closed_forms(self, f, a, b, want):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        chi, value, converged = search._brent(counted, a, b, f(a), f(b), 1e-13)
+        assert converged and abs(value) < 1e-13
+        assert chi == pytest.approx(want, abs=1e-12)
+        assert len(calls) < 60
 
 
 class TestSerialization:
