@@ -7,7 +7,6 @@ from .errors import (
     DomainError,
     GravTritterError,
     InconsistencyError,
-    QuadratureError,
 )
 from .fock import (
     FockState,
@@ -61,7 +60,6 @@ __all__ = [
     "InconsistencyError",
     "ModeProfile",
     "OverlapRecord",
-    "QuadratureError",
     "StaticSchwarzschildConfig",
     "SweepRow",
     "SweepSpec",

@@ -7,6 +7,7 @@ potential sees chi > 1 (redshift) and a received peak omega0 / chi^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -68,3 +69,14 @@ def weak_field_chi(g: float, h: float, c: float = SPEED_OF_LIGHT) -> float:
             f"(< {WEAK_FIELD_GUARD})"
         )
     return 1.0 + 0.5 * potential
+
+
+def chi_squared(chi: float) -> float:
+    """chi^2; DomainError unless chi > 0 with chi^2 and 1/chi^2 finite."""
+    c2 = chi * chi
+    if not (chi > 0 and 0.0 < c2 < math.inf and 1.0 / c2 < math.inf):
+        raise DomainError(
+            f"redshift parameter chi = {chi} out of range: "
+            "need chi > 0 with chi^2 and 1/chi^2 finite"
+        )
+    return c2

@@ -9,23 +9,20 @@ the spectral wavepacket of a single photon.  Three kinds are supported:
 * ``TabulatedProfile``-- complex samples on a strictly increasing grid with
   linear interpolation; zero outside the grid.
 
-Evaluation at omega <= 0 returns zero for every kind.  Overlaps
-<F,G> = int_0^inf F*(w) G(w) dw run over the intersection of the two
-profiles' effective supports (where the envelopes exceed 1e-16 of their
-peak) and take one of three routes:
+Evaluation at omega <= 0 returns zero for every kind.  Every overlap
+<F,G> = int_0^inf F*(w) G(w) dw is exact (a table: for its linear
+interpolant), by one of three routes:
 
-* gaussian/comb with gaussian/comb: exact sums of half-line Gaussian
-  integrals over lobe pairs;
-* table with table: exact, since the product of two linear interpolants is
-  a quadratic between the merged nodes; each side is evaluated once, on
-  those nodes;
-* table with gaussian/comb: node-aligned Simpson, its integrand evaluated
-  once, on one grid shared by the Simpson sum and its Richardson error
-  estimate.
+* gaussian/comb with gaussian/comb: sums of half-line Gaussian integrals
+  over lobe pairs;
+* table with table: the product of two linear interpolants is a quadratic
+  between the merged nodes; each side is evaluated once, on those nodes;
+* table with gaussian/comb: erf and exp terms of each lobe at the table's
+  nodes, or their Taylor series on intervals shorter than the lobe width.
 
 ``overlap_matrix`` takes a route once for many pairs (``inner_product`` is
-its 1x1 case): one broadcast over all lobe pairs, or one set of merged nodes
-for tables on one row grid and one column grid.
+its 1x1 case): one broadcast over all lobe pairs, or one set of nodes for
+tables on one row grid and one column grid.
 """
 
 from __future__ import annotations
@@ -36,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, QuadratureError
+from .errors import DegeneracyError, DomainError
+from .geometry import chi_squared
 
 # Truncation level for effective support windows, relative to the peak.
 SUPPORT_REL_EPS = 1e-16
-# Absolute error bound for Simpson overlaps of a table with a gaussian/comb.
-QUAD_ABS_TOL = 1e-10
 
 # |F| falls below SUPPORT_REL_EPS of its peak this many sigmas out.
 _SUPPORT_HALF_WIDTH = 2.0 * np.sqrt(np.log(1.0 / SUPPORT_REL_EPS))
@@ -164,9 +160,6 @@ class TabulatedProfile:
         w = np.fmax(np.asarray(omega, dtype=float), 0.0)
         return np.interp(w, self.omega, self.values, left=0.0, right=0.0)
 
-    def support_window(self) -> tuple[float, float]:
-        return (float(self.omega[0]), float(self.omega[-1]))
-
     def to_json_dict(self) -> dict:
         return {
             "kind": "tabulated",
@@ -198,25 +191,17 @@ def inner_product(f: ModeProfile, g: ModeProfile) -> complex:
     """Overlap <F,G> = int_0^inf F*(w) G(w) dw: the 1x1 case of
     :func:`overlap_matrix`.
 
-    Gaussian/comb pairs use the exact lobe-pair sum, cut-off at omega = 0
-    included.  If either side is tabulated, the integral runs over the
-    intersection of the effective supports, between the merged table nodes:
-    exactly for two tables, by Simpson for a table and a gaussian/comb
-    profile.  A disjoint intersection yields exactly 0.
-
-    Raises:
-        QuadratureError: Simpson error estimate exceeds 1e-10 (a table and a
-            gaussian/comb profile only).
+    Exact for every pair of kinds (module docstring), the cut-off at
+    omega = 0 included; a table stands for its linear interpolant, zero
+    outside its grid, so two tables on disjoint grids give exactly 0.
     """
     return complex(overlap_matrix((f,), (g,))[0, 0])
 
 
 def overlap_matrix(rows, cols) -> np.ndarray:
     """Overlaps M[i, j] = <rows[i], cols[j]>, each equal bit for bit to the
-    pair's own; pairs that share a route and its nodes share one pass.
-
-    Raises:
-        QuadratureError: as :func:`inner_product`.
+    pair's own and exact as :func:`inner_product` says; pairs that share a
+    route and its nodes share one pass.
     """
     views = [_as_comb(p) for p in (*rows, *cols)]
     if all(v is not None for v in views):
@@ -278,55 +263,75 @@ def _sorted_union(parts) -> np.ndarray:
 
 
 def _piecewise_inner(rows, cols) -> np.ndarray:
-    """Overlaps on the merged nodes that all pairs of rows and cols share.
+    """Exact overlaps of tables on one grid with the other side's profiles.
 
-    Two tables: on each node interval the product of their linear
-    interpolants is a quadratic, integrated exactly from the values of each
-    side at the nodes.  A table and a parametric profile: composite Simpson
-    with one Richardson error estimate, on the quarter grid of the nodes;
-    the coarse rule (on the nodes) and the fine rule (on nodes and
-    midpoints) read it through strided views.  Each profile is evaluated
-    once.
+    Two tables: the product of their interpolants is a quadratic on each
+    interval of the merged nodes, at which each table is evaluated once.  A
+    gaussian/comb row is the conjugate transpose of :func:`_table_lobe_inner`.
     """
     f, g = rows[0], cols[0]
-    lo = max(f.support_window()[0], g.support_window()[0])
-    hi = min(f.support_window()[1], g.support_window()[1])
+    if not isinstance(f, TabulatedProfile):
+        return _piecewise_inner(cols, rows).conj().T
+    if not isinstance(g, TabulatedProfile):
+        return _table_lobe_inner(rows, _as_comb(g))
+    lo, hi = max(f.omega[0], g.omega[0]), min(f.omega[-1], g.omega[-1])
     out = np.zeros((len(rows), len(cols)), dtype=complex)
     if lo >= hi:
         return out
-    tables = [p for p in (f, g) if isinstance(p, TabulatedProfile)]
-    inside = [t.omega[(t.omega > lo) & (t.omega < hi)] for t in tables]
+    inside = [t.omega[(t.omega > lo) & (t.omega < hi)] for t in (f, g)]
     x = _sorted_union([[lo, hi], *inside])
-    exact = len(tables) == 2
-    if not exact:
-        half = np.empty(2 * x.size - 1)
-        half[0::2], half[1::2] = x, 0.5 * (x[:-1] + x[1:])
-        quarter = np.empty(2 * half.size - 1)
-        quarter[0::2], quarter[1::2] = half, 0.5 * (half[:-1] + half[1:])
-    nodes = x if exact else quarter
-    b = [q.evaluate(nodes) for q in cols]
+    b = [q.evaluate(x) for q in cols]
     for i, p in enumerate(rows):
-        a = np.conj(p.evaluate(nodes))
+        a = np.conj(p.evaluate(x))
         a0, a1 = a[:-1], a[1:]
         for j, bj in enumerate(b):
-            if exact:
-                terms = (2.0 * a0 + a1) * bj[:-1] + (a0 + 2.0 * a1) * bj[1:]
-                out[i, j] = np.sum(np.diff(x) / 6.0 * terms)
-            else:
-                out[i, j] = _simpson(x, half, a * bj)
+            terms = (2.0 * a0 + a1) * bj[:-1] + (a0 + 2.0 * a1) * bj[1:]
+            out[i, j] = np.sum(np.diff(x) / 6.0 * terms)
     return out
 
 
-def _simpson(x, half, y) -> complex:
-    def rule(grid, step):
-        ends, mids = y[::step], y[step // 2 :: step]
-        return np.sum(np.diff(grid) / 6.0 * (ends[:-1] + 4.0 * mids + ends[1:]))
+def _table_lobe_inner(tables, comb: CombProfile) -> np.ndarray:
+    """Column of overlaps <T_i, comb>, exact for the tables' interpolants.
 
-    coarse, fine = rule(x, 4), rule(half, 2)
-    err = abs(fine - coarse) / 15.0
-    if err > QUAD_ABS_TOL:
-        raise QuadratureError(achieved=float(err), requested=QUAD_ABS_TOL)
-    return fine
+    On a node interval of midpoint m and length 4 s r, a table is its value
+    at m plus its slope times (w - m).  With u = (w - c) / 2s, a lobe
+    e^{-u^2} integrates against 1 and against w - m to 2s and 4s^2 times the
+    moments int e^{-u^2} du and int (u - u_m) e^{-u^2} du over the interval.
+    For r >= 1/4 they are steps of sqrt(pi)/2 erf(u) and -e^{-u^2}/2.  On
+    shorter intervals these steps cancel, to errors of about eps / r of the
+    moments, and the Taylor series of the same antiderivatives about u_m
+    takes over: with t_n = H_n(u_m) r^n / n! (Hermite polynomials), the
+    moments are 2r e^{-u_m^2} sum_even t_n / (n+1) and
+    -2r^2 e^{-u_m^2} sum_odd t_n / (n+2), whose terms from the 16th on fall
+    below rounding.  The comb's lobes are summed into two kernels once.
+    """
+    x = tables[0].omega
+    weight, c, s = (np.array(col) for col in zip(*comb.peaks))
+    h = np.diff(x)
+    um = ((x[:-1] + 0.5 * h)[:, None] - c) / (2.0 * s)
+    r = h[:, None] / (4.0 * s)
+    area, moment = np.empty_like(um), np.empty_like(um)
+    long = r >= 0.25
+    lo, hi = um[long] - r[long], um[long] + r[long]
+    area[long] = 0.5 * math.sqrt(math.pi) * (_erfc(lo) - _erfc(hi))
+    moment[long] = 0.5 * (np.exp(-lo * lo) - np.exp(-hi * hi)) - um[long] * area[long]
+    # Past |u_m| = 30, e^{-u_m^2} is 0 and the clip keeps t_n finite.
+    u, half = np.clip(um[~long], -30.0, 30.0), r[~long]
+    a, b = 2.0 * half * u, 2.0 * half * half  # t_n = (a t_n-1 - b t_n-2) / n
+    prev, term = np.ones_like(u), a
+    sums = [np.ones_like(u), a / 3.0]  # sum_even t_n / (n+1), sum_odd t_n / (n+2)
+    for n in range(2, 16):
+        prev, term = term, (a * term - b * prev) / n
+        sums[n % 2] += term / (n + 1 + n % 2)
+    peak = np.exp(-um[~long] ** 2)
+    area[~long], moment[~long] = 2.0 * half * peak * sums[0], -b * peak * sums[1]
+    scale = weight * (2.0 * np.pi * s**2) ** (-0.25)
+    k0, k1 = (2.0 * s * area) @ scale, (4.0 * s**2 * moment) @ scale
+    out = np.empty((len(tables), 1), dtype=complex)
+    for i, table in enumerate(tables):
+        v = np.conj(table.values)
+        out[i, 0] = np.sum(0.5 * (v[:-1] + v[1:]) * k0 + np.diff(v) / h * k1)
+    return out
 
 
 def norm(profile: ModeProfile) -> float:
@@ -341,9 +346,7 @@ def redshift_transform(profile: ModeProfile, chi: float) -> ModeProfile:
     chi^2); tabulated grids are rescaled.  The map preserves the norm
     exactly, so no renormalization is applied.
     """
-    if chi <= 0:
-        raise DomainError(f"redshift parameter must be positive, got {chi}")
-    c2 = chi * chi
+    c2 = chi_squared(chi)
     if isinstance(profile, GaussianProfile):
         return GaussianProfile(profile.omega0 / c2, profile.sigma / c2, profile.phase)
     if isinstance(profile, CombProfile):

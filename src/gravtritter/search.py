@@ -54,6 +54,8 @@ class SweepSpec:
             raise DomainError("chi_hi must be >= chi_lo")
         if self.grid < 2:
             raise DomainError(f"grid size must be >= 2, got {self.grid}")
+        if self.hom_tol <= 0:
+            raise DomainError(f"hom tolerance must be positive, got {self.hom_tol}")
         if self.population_floor <= 0:
             raise DomainError("population floor must be positive")
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InconsistencyError
+from .geometry import chi_squared
 from .modes import ModeProfile, inner_product, overlap_matrix, redshift_transform
 
 # Slack distinguishing float noise from genuinely inconsistent overlaps.
@@ -168,9 +169,7 @@ def nogo_normalization(chi: float) -> float:
     A unitary implementing the bare shift would need this to equal 1, which
     happens only at chi = 1: the shift alone is not a unitary operation.
     """
-    if chi <= 0:
-        raise DomainError(f"redshift parameter must be positive, got {chi}")
-    return 1.0 / (chi * chi)
+    return 1.0 / chi_squared(chi)
 
 
 def mixer_to_json(u: np.ndarray) -> list:

@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and keep no example
+# database; no deadline, since the examples' cost is not under test.
+settings.register_profile("gravtritter", derandomize=True, database=None, deadline=None)
+settings.load_profile("gravtritter")
 
 
 @pytest.fixture

@@ -101,9 +101,10 @@ class TestTritterCommand:
         )
         assert main(["tritter", "--config", cfg]) == 3
 
-    def test_quadrature_error_exit_3(self, tmp_path, capsys):
+    def test_table_with_narrow_gaussian_not_orthogonal_exit_3(self, tmp_path, capsys):
         """A table and a lobe narrower than its node spacing, kept apart by
-        orthonormalize: false, reach the Simpson route and miss its bound."""
+        orthonormalize: false: their exact overlap fails the orthogonality
+        check."""
         omega = np.linspace(90.0, 110.0, 6).tolist()
         table = {"kind": "tabulated", "omega": omega, "re": [1.0] * 6, "im": [0.0] * 6}
         cfg = write_config(
@@ -118,7 +119,34 @@ class TestTritterCommand:
         assert main(["tritter", "--config", cfg]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: quadrature reached abs error 1.1")
+        assert captured.err == (
+            "error: input profiles not orthogonal: |<F1,F2>| = 5.007e-01 > 1e-6\n"
+        )
+
+    def test_disjoint_table_and_gaussian_exit_0(self, tmp_path, capsys):
+        """A normalized table and a distant gaussian, kept apart by
+        orthonormalize: false, take the table x gaussian route."""
+        omega = np.linspace(90.0, 110.0, 6).tolist()
+        level = [20.0**-0.5] * 6  # |T|^2 integrates to 1 over the 20-wide grid
+        table = {"kind": "tabulated", "omega": omega, "re": level, "im": [0.0] * 6}
+        cfg = write_config(
+            tmp_path,
+            {
+                "mode1": table,
+                "mode2": {"kind": "gaussian", "omega0": 140.0, "sigma": 1.0},
+                "chi": 1.01,
+                "orthonormalize": False,
+            },
+        )
+        code, out = run(capsys, ["tritter", "--config", cfg])
+        assert code == 0
+        report = json.loads(out)
+        assert report["unitarity_residual"] < 1e-12
+        assert report["overlaps"]["o21"] < 1e-12 and report["overlaps"]["o12"] < 1e-12
+        # the table, rescaled by 1/chi^2, keeps [90, 110 / 1.0201] of its grid
+        assert report["overlaps"]["o11"] == pytest.approx(
+            1.01 * (110.0 / 1.0201 - 90.0) / 20.0, abs=1e-12
+        )
 
     def test_matches_golden_matrix(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**GAUSSIAN_PAIR, "chi": 1.01})
@@ -280,6 +308,60 @@ def test_non_finite_number_array_exit_2(tmp_path, capsys, command, literal):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"non-finite number {literal} is not allowed" in captured.err
+
+
+# chi whose square underflows to 0 or overflows to inf; "@" marks where it goes.
+OUT_OF_RANGE_CHI = [1e-200, 1e200]
+OUT_OF_RANGE_CHI_CONFIGS = {
+    "nogo": {"chi": "@"},
+    "tritter": {**GAUSSIAN_PAIR, "chi": "@"},
+    "evolve": {**GAUSSIAN_PAIR, "chi": "@"},
+    "find-hom": {**GAUSSIAN_PAIR, "chi_lo": "@", "chi_hi": "@", "grid": 2},
+}
+
+
+@pytest.mark.parametrize("chi", OUT_OF_RANGE_CHI)
+@pytest.mark.parametrize("command", sorted(OUT_OF_RANGE_CHI_CONFIGS))
+def test_out_of_range_chi_exit_3(tmp_path, capsys, command, chi):
+    text = json.dumps(OUT_OF_RANGE_CHI_CONFIGS[command]).replace('"@"', repr(chi))
+    doc = json.loads(text)
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: redshift parameter chi = {chi} out of range: "
+        "need chi > 0 with chi^2 and 1/chi^2 finite\n"
+    )
+
+
+@pytest.mark.parametrize("chi", OUT_OF_RANGE_CHI)
+def test_sweep_reaching_out_of_range_chi_keeps_rows(tmp_path, capsys, chi):
+    """Each grid point past the range fails alone, in its row's status."""
+    lo, hi = min(chi, 1.0), max(chi, 1.0)
+    cfg = write_config(
+        tmp_path, {**GAUSSIAN_PAIR, "chi_lo": lo, "chi_hi": hi, "grid": 2}
+    )
+    code, out = run(capsys, ["sweep", "--config", cfg, "--format", "json"])
+    assert code == 0
+    status = {row["chi"]: row["status"] for row in json.loads(out)["rows"]}
+    assert status == {
+        1.0: "ok",
+        chi: f"error:redshift parameter chi = {chi} out of range: "
+        "need chi > 0 with chi^2 and 1/chi^2 finite",
+    }
+
+
+@pytest.mark.parametrize("command", ["sweep", "find-hom"])
+@pytest.mark.parametrize("hom_tol", [0.0, -1.0])
+def test_non_positive_hom_tol_exit_3(tmp_path, capsys, command, hom_tol):
+    cfg = write_config(
+        tmp_path,
+        {**GAUSSIAN_PAIR, "chi_lo": 1.0, "chi_hi": 1.01, "grid": 2, "hom_tol": hom_tol},
+    )
+    assert main([command, "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: hom tolerance must be positive, got {hom_tol}\n"
 
 
 def test_main_calls_in_sequence_share_no_options(tmp_path, capsys):

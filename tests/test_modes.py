@@ -1,8 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from gravtritter import (
@@ -10,7 +13,6 @@ from gravtritter import (
     DegeneracyError,
     DomainError,
     GaussianProfile,
-    QuadratureError,
     TabulatedProfile,
     inner_product,
     make_comb,
@@ -258,15 +260,75 @@ class TestInnerProduct:
         assert 0 < points[id(g)] <= n_nodes
 
     @pytest.mark.parametrize("table_first", [True, False])
-    def test_table_with_narrow_gaussian_raises_quadrature_error(self, table_first):
-        """A lobe narrower than the table's node spacing: the Simpson route's
-        Richardson estimate exceeds its bound."""
+    def test_table_with_narrow_gaussian_is_exact(self, table_first):
+        """A lobe far narrower than the node spacing, inside a table of ones:
+        the overlap is the lobe's full integral, (8 pi sigma^2)^(1/4)."""
         table = TabulatedProfile(np.linspace(90.0, 110.0, 6), np.ones(6, complex))
         pair = (table, GaussianProfile(100.5, 0.05))
-        with pytest.raises(QuadratureError) as got:
-            inner_product(*(pair if table_first else pair[::-1]))
-        assert got.value.achieved == pytest.approx(0.114, abs=0.005)
-        assert got.value.requested == 1e-10
+        got = inner_product(*(pair if table_first else pair[::-1]))
+        assert abs(got - (8.0 * np.pi * 0.05**2) ** 0.25) <= 1e-15
+
+    def test_table_lobe_overlap_matches_fine_simpson(self, rng):
+        """Random tables (50-2000 nodes, random spacing, smooth or rough
+        values) against gaussians and combs of lobes from 0.05 to 3 wide,
+        so node intervals run from far below to far above a lobe width, in
+        both orders: the exact route vs scipy Simpson with 256 sub-intervals
+        per node interval on the interpolant times the profile.  The bound
+        is the oracle's own error, |S_256 - S_128|, plus rounding."""
+
+        def simpson_oracle(table, profile, per_interval):
+            x = table.omega
+            w = x[:-1, None] + np.diff(x)[:, None] * np.linspace(0, 1, per_interval + 1)
+            y = np.conj(table.evaluate(w)) * profile.evaluate(w)
+            return simpson(y, x=w, axis=1).sum()
+
+        for trial in range(24):
+            n = int(rng.integers(50, 2001))
+            grid = np.sort(rng.uniform(80.0, 120.0, n))
+            if trial % 2:  # rough: independent values on close-spaced nodes
+                values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            else:
+                coeffs = np.array([1, 1j]) @ rng.standard_normal((2, 4))
+                values = sum(
+                    c * np.cos((k + 1) * grid / 3 + k) for k, c in enumerate(coeffs)
+                )
+            table = TabulatedProfile(grid, values)
+            lobes = [
+                (rng.standard_normal() + 1j * rng.standard_normal(),
+                 rng.uniform(85.0, 115.0), rng.uniform(0.05, 3.0))
+                for _ in range(rng.integers(1, 4))
+            ]
+            profile = make_comb(lobes) if len(lobes) > 1 else GaussianProfile(
+                lobes[0][1], lobes[0][2], rng.uniform(0, 2 * np.pi)
+            )
+            want = simpson_oracle(table, profile, 256)
+            tol = abs(want - simpson_oracle(table, profile, 128)) + 1e-13
+            assert abs(inner_product(table, profile) - want) <= tol
+            assert abs(inner_product(profile, table) - np.conj(want)) <= tol
+
+    @given(
+        omega0=st.floats(85.0, 115.0),
+        sigma=st.floats(0.02, 5.0),
+        phase=st.floats(0.0, 6.3),
+        chi=st.floats(0.5, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_lobe_symmetry_and_redshift_invariance(
+        self, omega0, sigma, phase, chi, seed
+    ):
+        """<G,T> = conj <T,G>, and <T',G'> = <T,G> under one redshift."""
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(80.0, 120.0, int(rng.integers(2, 400))))
+        table = TabulatedProfile(
+            grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        )
+        gauss = GaussianProfile(omega0, sigma, phase)
+        ov = inner_product(table, gauss)
+        assert inner_product(gauss, table) == np.conj(ov)
+        moved = inner_product(
+            redshift_transform(table, chi), redshift_transform(gauss, chi)
+        )
+        assert abs(moved - ov) <= 1e-12
 
 
 class TestRedshiftTransform:
@@ -284,6 +346,19 @@ class TestRedshiftTransform:
             redshift_transform(GaussianProfile(10.0, 1.0), 0.0)
         with pytest.raises(DomainError):
             redshift_transform(GaussianProfile(10.0, 1.0), -1.0)
+
+    @pytest.mark.parametrize("chi", [1e-200, 1e-160, 1e160, 1e200])
+    def test_chi_squared_out_of_range(self, chi):
+        """chi^2 or 1/chi^2 overflows: rejected by name, for every kind,
+        before any profile is built from zero or infinite parameters."""
+        for p in (
+            GaussianProfile(100.0, 1.0),
+            make_comb([(1, 95, 1), (-1, 105, 1)]),
+            tabulated_from(GaussianProfile(100.0, 1.0), n=101),
+        ):
+            message = re.escape(f"redshift parameter chi = {chi} out of range")
+            with pytest.raises(DomainError, match=message):
+                redshift_transform(p, chi)
 
     @pytest.mark.parametrize("chi", CHI_GRID)
     def test_norm_preserved_all_kinds(self, chi):
@@ -428,19 +503,25 @@ class TestOverlapMatrix:
         overlap_matrix(rows, [e1, e2])
         assert len(sizes) == 4 and len(set(sizes)) == 1
 
-    def test_table_with_gaussian_takes_simpson_route(self):
+    def test_table_with_gaussian_takes_exact_route(self):
         table = tabulated_from(GaussianProfile(10.0, 1.0), n=2001)
         gs = [GaussianProfile(10.3, 1.0), GaussianProfile(9.8, 1.2, 0.4)]
         self.assert_pairwise([table], gs)
         self.assert_pairwise(gs, [table, gs[0]])
+        # tables on one grid against one comb: a column, and its transpose
+        comb = make_comb([(1, 9.5, 0.7), (-1j, 10.6, 1.1)])
+        tables = [table, TabulatedProfile(table.omega, np.roll(table.values, 40))]
+        self.assert_pairwise(tables, [comb])
+        self.assert_pairwise([comb], tables)
 
     @pytest.mark.parametrize("table_first", [True, False])
-    def test_table_with_narrow_gaussian_raises_quadrature_error(self, table_first):
+    def test_table_with_narrow_gaussian_is_exact(self, table_first):
         table = TabulatedProfile(np.linspace(90.0, 110.0, 6), np.ones(6, complex))
         narrow = GaussianProfile(100.5, 0.05)
         rows, cols = ([table], [table, narrow]) if table_first else ([narrow], [table])
-        with pytest.raises(QuadratureError):
-            overlap_matrix(rows, cols)
+        got = overlap_matrix(rows, cols)[0, -1]
+        assert abs(got - (8.0 * np.pi * 0.05**2) ** 0.25) <= 1e-15
+        self.assert_pairwise(rows, cols)
 
 
 class TestMakeComb:

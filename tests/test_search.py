@@ -28,6 +28,9 @@ class TestSweepSpec:
             SweepSpec(f1, f2, 1.0, 1.1, 1)
         with pytest.raises(DomainError):
             SweepSpec(f1, f2, 1.0, 1.1, 5, population_floor=0.0)
+        for hom_tol in (0.0, -1.0):
+            with pytest.raises(DomainError, match="hom tolerance must be positive"):
+                SweepSpec(f1, f2, 1.0, 1.1, 5, hom_tol=hom_tol)
         with pytest.raises(DomainError):
             SweepSpec(f1, f2, 1.2, 1.1, 5)
 

@@ -165,5 +165,7 @@ class TestNogoNormalization:
                 assert defect > 1e-12
 
     def test_invalid_chi(self):
-        with pytest.raises(DomainError):
-            nogo_normalization(0.0)
+        """Non-positive chi, and chi whose 1/chi^2 would be 0 or inf."""
+        for chi in (0.0, -1.0, 1e-200, 1e-160, 1e160, 1e200):
+            with pytest.raises(DomainError, match="redshift parameter chi = "):
+                nogo_normalization(chi)
