@@ -12,7 +12,6 @@ from .fock import (
     FockState,
     HomRecord,
     TwoModeDensityMatrix,
-    apply_mixer,
     evolve_two_photon,
     hom_coefficient,
     hom_record,
@@ -67,7 +66,6 @@ __all__ = [
     "TritterAngles",
     "TwoModeDensityMatrix",
     "angles_from_overlaps",
-    "apply_mixer",
     "build_tritter",
     "evolve_two_photon",
     "find_hom",

@@ -1,17 +1,18 @@
 """Fock-state evolution under a mode mixer, reduction, interference, negativity.
 
 States live on three modes (mode1, mode2, perp) at fixed total photon
-number.  Evolution follows the standard permanent rule for passive linear
-optics; the two-photon case also has a closed-form fast path.  Reduction
+number.  The |110> input evolves by the closed form of the permanent rule
+of passive linear optics (the rule itself is the tests' oracle).  Reduction
 traces out the third (unobserved) mode; entanglement of the remaining two
-modes is quantified by the negativity of the partial transpose.
+modes is quantified by the negativity of the partial transpose.  Every
+closed form takes a stack of mixers (..., 3, 3) as well as one; a sweep's
+grid goes through ``two_photon_observables`` at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import factorial, prod, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -20,17 +21,6 @@ from .errors import DomainError
 _UNITARITY_TOL = 1e-10
 # Eigenvalues of the partial transpose below this count as negative.
 _EIG_NEG_TOL = 1e-11
-
-
-def occupation_basis(total: int, n_modes: int = 3) -> list[tuple[int, ...]]:
-    """All occupation tuples with the given total, lexicographic order."""
-    if n_modes == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in occupation_basis(total - first, n_modes - 1):
-            out.append((first, *rest))
-    return out
 
 
 @dataclass
@@ -63,71 +53,72 @@ class FockState:
         return float(abs(ov) ** 2)
 
 
-def permanent(mat: np.ndarray) -> complex:
-    """Permanent by permutation expansion; fine for the small sizes used here."""
-    n = mat.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    return complex(
-        sum(prod(mat[i, p[i]] for i in range(n)) for p in permutations(range(n)))
-    )
+def unitarity_residual(u: np.ndarray):
+    """max |U U^dag - 1| entrywise: a float, or an array for a stack."""
+    uu = u @ np.conj(np.swapaxes(u, -1, -2))
+    return _float(np.max(np.abs(uu - np.eye(3)), axis=(-2, -1)))
 
 
-def _check_unitary(u: np.ndarray):
-    if np.max(np.abs(u @ u.conj().T - np.eye(3))) > _UNITARITY_TOL:
-        raise DomainError("mixer matrix is not unitary to 1e-10")
+def _unitarity_errors(u: np.ndarray) -> list:
+    """Per mixer of a stack, None or the error of a non-unitary one."""
+    fails = np.atleast_1d(unitarity_residual(u) > _UNITARITY_TOL).tolist()
+    error = "mixer matrix is not unitary to 1e-10"
+    return [DomainError(error) if fail else None for fail in fails]
 
 
-def apply_mixer(state: FockState, u: np.ndarray) -> FockState:
-    """Evolve a state through a 3x3 mixer via the permanent rule.
+# Occupations of the |110> image, in the order of ``two_photon_image``.
+_TWO_PHOTON = ((0, 0, 2), (0, 2, 0), (2, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1))
 
-    Creation operators transform by rows: A_j^dag -> sum_i U_ji B_i^dag.
-    The amplitude from input occupation n to output occupation m is
-    perm(M) / sqrt(prod n! prod m!), with M built from U by repeating row j
-    n_j times and column i m_i times.
-    """
-    _check_unitary(u)
-    basis = occupation_basis(state.total)
-    out: dict[tuple[int, int, int], complex] = {}
-    for occ_in, amp in state.amplitudes.items():
-        if amp == 0:
-            continue
-        rows = [j for j in range(3) for _ in range(occ_in[j])]
-        f_in = prod(factorial(n) for n in occ_in)
-        for occ_out in basis:
-            cols = [i for i in range(3) for _ in range(occ_out[i])]
-            sub = u[np.ix_(rows, cols)]
-            f_out = prod(factorial(n) for n in occ_out)
-            contrib = amp * permanent(sub) / sqrt(f_in * f_out)
-            if contrib != 0:
-                out[occ_out] = out.get(occ_out, 0.0 + 0.0j) + contrib
-    result = FockState(state.total, out)
-    if abs(result.norm_sq() - state.norm_sq()) > 1e-10:
-        raise DomainError("mixer evolution failed to preserve the norm")
-    return result
+
+def coincidence_amplitude(u: np.ndarray) -> np.ndarray:
+    """U11 U22 + U12 U21, the amplitude of |110> in U|110>."""
+    return u[..., 0, 0] * u[..., 1, 1] + u[..., 0, 1] * u[..., 1, 0]
+
+
+def two_photon_image(u: np.ndarray) -> np.ndarray:
+    """Amplitudes of U|110> on the occupations ``_TWO_PHOTON``, shape
+    (..., 6) for mixers (..., 3, 3): the permanent rule in closed form."""
+    a, b = u[..., 0, :], u[..., 1, :]
+    doubles = sqrt(2.0) * a * b  # sqrt(2) U1i U2i: (2,0,0), (0,2,0), (0,0,2)
+    cross = a[..., :, None] * b[..., None, :]  # U1i U2j
+    # (0,1,1) U13 U22 + U12 U23, (1,1,0) U11 U22 + U12 U21, (1,0,1) U11 U23 + U13 U21
+    pairs = cross[..., [2, 0, 0], [1, 1, 2]] + cross[..., [1, 1, 2], [2, 0, 0]]
+    return np.concatenate([doubles[..., ::-1], pairs], axis=-1)
 
 
 def evolve_two_photon(u: np.ndarray) -> FockState:
     """Closed-form image of |110> under the mixer.
 
-    Must agree entrywise with apply_mixer(|110>, U); the pair of routes is
-    kept as a cross-check of the permanent rule.
+    Must agree entrywise with the permanent rule on |110>, which the tests
+    keep as a cross-check.
     """
-    _check_unitary(u)
-    amps = {
-        (0, 0, 2): sqrt(2.0) * u[0, 2] * u[1, 2],
-        (0, 2, 0): sqrt(2.0) * u[0, 1] * u[1, 1],
-        (2, 0, 0): sqrt(2.0) * u[0, 0] * u[1, 0],
-        (0, 1, 1): u[0, 2] * u[1, 1] + u[0, 1] * u[1, 2],
-        (1, 1, 0): u[0, 0] * u[1, 1] + u[0, 1] * u[1, 0],
-        (1, 0, 1): u[0, 0] * u[1, 2] + u[0, 2] * u[1, 0],
-    }
-    return FockState(2, {occ: complex(a) for occ, a in amps.items()})
+    (error,) = _unitarity_errors(u)
+    if error is not None:
+        raise error
+    return FockState(2, dict(zip(_TWO_PHOTON, two_photon_image(u).tolist())))
+
+
+def two_photon_observables(u: np.ndarray) -> tuple[dict, list]:
+    """Observables of U|110> for a stack of mixers (n, 3, 3), each row equal
+    bit for bit to :func:`hom_record`, rho1111, :func:`negativity` and
+    :func:`negativity_lower_bound` of that mixer alone, and per mixer None
+    or the error :func:`evolve_two_photon` raises."""
+    v = np.zeros(u.shape[:-2] + (9,), dtype=complex)
+    v[..., [3 * n + m for n, m, _k in _TWO_PHOTON]] = two_photon_image(u)
+    rho = TwoModeDensityMatrix(2, _reduce(v, 3))
+    coefficient, rho2020, rho0202 = _hom(u)
+    return {
+        "hom_coeff": coefficient, "rho2020": rho2020, "rho0202": rho0202,
+        "rho1111": rho.matrix[..., 4, 4].real,
+        "negativity": negativity(rho), "neg_bound": negativity_lower_bound(rho),
+    }, _unitarity_errors(u)
 
 
 @dataclass
 class TwoModeDensityMatrix:
-    """Hermitian matrix over |n m>, n,m in 0..n_max, lexicographic order."""
+    """Hermitian matrix over |n m>, n,m in 0..n_max, lexicographic order, or
+    a stack of them (..., d, d), for which ``partial_transpose``,
+    ``negativity`` and ``negativity_lower_bound`` give arrays."""
 
     n_max: int
     matrix: np.ndarray
@@ -135,7 +126,7 @@ class TwoModeDensityMatrix:
     def __post_init__(self):
         d = (self.n_max + 1) ** 2
         self.matrix = np.asarray(self.matrix, complex)
-        if self.matrix.shape != (d, d):
+        if self.matrix.shape[-2:] != (d, d):
             raise DomainError(
                 f"density matrix shape {self.matrix.shape} != ({d}, {d})"
             )
@@ -172,27 +163,36 @@ def trace_out_third(state: FockState, n_max: int = 2) -> TwoModeDensityMatrix:
         DomainError: some populated occupation exceeds n_max.
     """
     d = n_max + 1
+    v = np.zeros(d * d, dtype=complex)
     for (n1, n2, _k), amp in state.amplitudes.items():
-        if amp != 0 and (n1 > n_max or n2 > n_max):
+        if n1 <= n_max and n2 <= n_max:
+            v[n1 * d + n2] = amp
+        elif amp != 0:
             raise DomainError(
                 f"occupation ({n1},{n2}) exceeds two-mode cutoff {n_max}"
             )
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    by_k: dict[int, dict[tuple[int, int], complex]] = {}
-    for (n1, n2, k), amp in state.amplitudes.items():
-        by_k.setdefault(k, {})[(n1, n2)] = amp
-    for sector in by_k.values():
-        for (n, m), a in sector.items():
-            for (p, q), b in sector.items():
-                rho[n * d + m, p * d + q] += a * np.conj(b)
-    return TwoModeDensityMatrix(n_max, rho)
+    return TwoModeDensityMatrix(n_max, _reduce(v, d))
+
+
+def _reduce(v: np.ndarray, d: int) -> np.ndarray:
+    """rho(nm, pq) = v(nm) conj(v(pq)) where n + m = p + q, else 0, for
+    vectors v(nm) = amp(n, m, N - n - m) of states of N photons: sector
+    k = N - n - m of the third mode is the only one holding both.  Adding
+    0 turns each -0.0 into 0.0, as accumulating into zeros did."""
+    n, m = np.divmod(np.arange(d * d), d)
+    same = (n + m)[:, None] == (n + m)[None, :]
+    return np.where(same, v[..., :, None] * np.conj(v[..., None, :]), 0.0) + 0.0
+
+
+def _float(x):
+    """A float for one matrix, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def partial_transpose(rho: TwoModeDensityMatrix) -> np.ndarray:
     """Transpose with respect to the second mode: (nm, pq) -> (nq, pm)."""
-    d = rho.n_max + 1
-    pt = rho.matrix.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
-    return pt.copy()
+    d, m = rho.n_max + 1, rho.matrix
+    return m.reshape(m.shape[:-2] + (d,) * 4).swapaxes(-3, -1).reshape(m.shape).copy()
 
 
 def negativity(rho: TwoModeDensityMatrix) -> float:
@@ -202,7 +202,10 @@ def negativity(rho: TwoModeDensityMatrix) -> float:
     (PPT criterion).
     """
     eigs = np.linalg.eigvalsh(partial_transpose(rho))
-    return float(np.sum(np.abs(eigs[eigs < -_EIG_NEG_TOL])))
+    # Added one at a time in ascending order, as np.sum adds fewer than
+    # eight values: a stack row has the bits of its own matrix's sum.
+    negative = np.where(eigs < -_EIG_NEG_TOL, -eigs, 0.0)
+    return _float(np.cumsum(negative, axis=-1)[..., -1])
 
 
 def negativity_lower_bound(rho: TwoModeDensityMatrix) -> float:
@@ -213,18 +216,29 @@ def negativity_lower_bound(rho: TwoModeDensityMatrix) -> float:
     evaluated on the named entries.  Asserted as a bound only for reduced
     states with the two-photon sparsity structure.
     """
-    r0101 = rho.entry(0, 1, 0, 1).real
-    r1010 = rho.entry(1, 0, 1, 0).real
-    r0211 = rho.entry(0, 2, 1, 1)
-    r2011 = rho.entry(2, 0, 1, 1)
-    return 0.5 * (sqrt(r0101**2 + 4.0 * abs(r0211) ** 2) - r0101) + 0.5 * (
-        sqrt(r1010**2 + 4.0 * abs(r2011) ** 2) - r1010
+    m, i = rho.matrix, rho.index
+
+    def block(diagonal, coherence):
+        # float_power is libm's pow, as ** on floats, which x * x does not
+        # always match in the last bit; hypot is abs() of a Python complex.
+        r, c = diagonal.real, np.hypot(coherence.real, coherence.imag)
+        return 0.5 * (np.sqrt(np.float_power(r, 2) + 4.0 * np.float_power(c, 2)) - r)
+
+    return _float(
+        block(m[..., i(0, 1), i(0, 1)], m[..., i(0, 2), i(1, 1)])
+        + block(m[..., i(1, 0), i(1, 0)], m[..., i(2, 0), i(1, 1)])
     )
 
 
 def hom_coefficient(u: np.ndarray) -> float:
     """|U11 U22 + U12 U21|, the surviving coincidence amplitude modulus."""
-    return float(abs(u[0, 0] * u[1, 1] + u[0, 1] * u[1, 0]))
+    return float(np.abs(coincidence_amplitude(u)))
+
+
+def _hom(u: np.ndarray):
+    """|U11 U22 + U12 U21| and the two double-occupation populations."""
+    pops = 2.0 * np.float_power(np.abs(u[..., 0, :2] * u[..., 1, :2]), 2)
+    return np.abs(coincidence_amplitude(u)), pops[..., 0], pops[..., 1]
 
 
 @dataclass(frozen=True)
@@ -243,9 +257,7 @@ class HomRecord:
 
 def hom_record(u: np.ndarray, tol: float = 1e-6) -> HomRecord:
     """Coincidence coefficient plus the double-occupation populations."""
-    coeff = hom_coefficient(u)
-    rho2020 = float(2.0 * abs(u[0, 0] * u[1, 0]) ** 2)
-    rho0202 = float(2.0 * abs(u[0, 1] * u[1, 1]) ** 2)
+    coeff, rho2020, rho0202 = map(float, _hom(u))
     return HomRecord(
         coefficient=coeff,
         rho2020=rho2020,

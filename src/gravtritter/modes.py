@@ -22,7 +22,9 @@ interpolant), by one of three routes:
 
 ``overlap_matrix`` takes a route once for many pairs (``inner_product`` is
 its 1x1 case): one broadcast over all lobe pairs, or one set of nodes for
-tables on one row grid and one column grid.
+tables on one row grid and one column grid.  ``redshifted_overlaps`` adds a
+chi axis: one broadcast over (chi, lobe, lobe), or one pass per chi for
+tables, whose redshifted nodes differ from chi to chi.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError, GravTritterError
 from .geometry import chi_squared
 
 # Truncation level for effective support windows, relative to the peak.
@@ -148,6 +151,8 @@ class TabulatedProfile:
             raise DomainError("tabulated grid needs at least two points")
         if vals.shape != grid.shape:
             raise DomainError("tabulated grid and values must have equal length")
+        if not np.all(np.isfinite(grid)):
+            raise DomainError("tabulated grid must be finite")
         if np.any(np.diff(grid) <= 0):
             raise DomainError("tabulated grid must be strictly increasing")
         if grid[0] <= 0:
@@ -205,31 +210,70 @@ def overlap_matrix(rows, cols) -> np.ndarray:
     """
     views = [_as_comb(p) for p in (*rows, *cols)]
     if all(v is not None for v in views):
-        return _lobe_overlaps(views[: len(rows)], views[len(rows) :])
+        return _lobe_overlaps(views[: len(rows)], views[len(rows) :])[0]
     if _shared_nodes(rows) and _shared_nodes(cols):
         return _piecewise_inner(rows, cols)
     return np.array([[inner_product(f, g) for g in cols] for f in rows])
+
+
+def redshifted_overlaps(rows, cols, chis: list[float]) -> tuple[np.ndarray, list]:
+    """Overlaps M[k, i, j] = <rows[i]', cols[j]> of the rows redshifted by
+    chis[k], each equal bit for bit to :func:`overlap_matrix` of the
+    :func:`redshift_transform` profiles, and per chi None or the error it
+    raises there; a failed chi's block is NaN.  A chi at which the overlaps
+    overflow (1e-154 < chi < 1e-77 or so for unit widths) is such an error,
+    with no floating-point warning.
+    """
+    views = [_as_comb(p) for p in (*rows, *cols)]
+    lobes = all(v is not None for v in views)
+    out = np.empty((len(chis), len(rows), len(cols)), dtype=complex)
+    errors, c2 = [None] * len(chis), np.ones(len(chis))
+    for k, chi in enumerate(chis):
+        try:
+            c2[k] = chi_squared(chi)
+            if not lobes:
+                shifted = [redshift_transform(p, chi) for p in rows]
+                out[k] = overlap_matrix(shifted, cols)
+        except GravTritterError as exc:
+            errors[k] = exc
+    if lobes:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _lobe_overlaps(views[: len(rows)], views[len(rows) :], c2)
+    for k in np.flatnonzero(~np.isfinite(out).all(axis=(1, 2))):
+        errors[k] = errors[k] or _overflow(chis[k])
+    if any(errors):
+        out[[e is not None for e in errors]] = np.nan
+    return out, errors
+
+
+def _overflow(chi) -> DomainError:
+    message = "out of range: the redshifted overlaps overflow"
+    return DomainError(f"redshift parameter chi = {chi} {message}")
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.erfc, x.flat), float, x.size).reshape(x.shape)
 
 
-def _lobe_overlaps(rows, cols) -> np.ndarray:
-    """Exact sums over lobe pairs of half-line Gaussian integrals.
+def _lobe_overlaps(rows, cols, c2=(1.0,)) -> np.ndarray:
+    """Exact sums over lobe pairs of half-line Gaussian integrals, one
+    (rows, cols) block for each chi^2 in ``c2`` by which the rows are
+    redshifted (their centres and widths divided by it).
 
     Lobes (w_i, a, s1) of F and (w_j, b, s2) of G contribute their full-line
     overlap conj(w_i) w_j sqrt(2 s1 s2 / V) exp(-(a - b)^2 / (4 V)), with
     V = s1^2 + s2^2, times the share erfc(-mu sqrt(A)) / 2 of the product
     Gaussian on w > 0; A = 1/(4 s1^2) + 1/(4 s2^2) is its inverse scale and
     mu = (a/(4 s1^2) + b/(4 s2^2)) / A its centre.  One broadcast gives the
-    terms of all lobe pairs; a contiguous copy of each profile pair's block
-    sums in the order of that pair alone.
+    terms of all lobe pairs at every chi; each profile pair's block, copied
+    contiguous by the reshape, sums in the order of that pair alone.
     """
     lobes1 = [lobe for p in rows for lobe in p.peaks]
     lobes2 = [lobe for p in cols for lobe in p.peaks]
     w1, a, s1 = (np.array(col)[:, None] for col in zip(*lobes1))
     w2, b, s2 = (np.array(col)[None, :] for col in zip(*lobes2))
+    c2 = np.asarray(c2)[:, None, None]
+    a, s1 = a / c2, s1 / c2
     var = s1**2 + s2**2
     mu_sqrt_a = (a * s2**2 + b * s1**2) / (2.0 * s1 * s2 * np.sqrt(var))
     terms = (
@@ -239,11 +283,13 @@ def _lobe_overlaps(rows, cols) -> np.ndarray:
         * np.exp(-((a - b) ** 2) / (4.0 * var))
         * (0.5 * _erfc(-mu_sqrt_a))
     )
-    r, c = (np.cumsum([0] + [len(p.peaks) for p in side]) for side in (rows, cols))
-    return np.array([
-        [np.ascontiguousarray(terms[r0:r1, c0:c1]).sum() for c0, c1 in zip(c, c[1:])]
+    r, c = ([0, *accumulate(len(p.peaks) for p in side)] for side in (rows, cols))
+    n = len(c2)
+    blocks = [
+        [terms[:, r0:r1, c0:c1].reshape(n, -1).sum(axis=1) for c0, c1 in zip(c, c[1:])]
         for r0, r1 in zip(r, r[1:])
-    ])
+    ]
+    return np.array(blocks).transpose(2, 0, 1)
 
 
 def _shared_nodes(profiles) -> bool:
@@ -354,7 +400,11 @@ def redshift_transform(profile: ModeProfile, chi: float) -> ModeProfile:
             tuple((wt, c / c2, s / c2) for wt, c, s in profile.peaks)
         )
     if isinstance(profile, TabulatedProfile):
-        return TabulatedProfile(profile.omega / c2, chi * profile.values)
+        with np.errstate(over="ignore"):
+            omega = profile.omega / c2
+        if not np.isfinite(omega[-1]):
+            raise _overflow(chi)
+        return TabulatedProfile(omega, chi * profile.values)
     raise DomainError(f"unknown profile type {type(profile)!r}")
 
 

@@ -1,12 +1,14 @@
 """Sweeps over the redshift parameter and location of interference points.
 
 A sweep evaluates the full pipeline (mode pair -> mixer -> two-photon state
--> reduced density matrix) on a chi grid.  Root finding operates on the
-signed coincidence quantity U11 U22 + U12 U21, which is real for the
-zero-phase mixer; its modulus has no sign change and would defeat
-bracketing.  Each sign change on the grid is refined by Brent's method
-(inverse quadratic and secant steps inside the bracket, bisection when they
-stall), which reuses the grid values at the bracket ends.
+-> reduced density matrix) on a chi grid as one array program: stacked
+overlaps, mixers and closed-form observables; a failed row keeps its chi's
+own error.  Root finding operates on the signed coincidence quantity
+U11 U22 + U12 U21, which is real for the zero-phase mixer; its modulus has
+no sign change and would defeat bracketing.  Each sign change in the
+batched grid scan is refined by Brent's method (inverse quadratic and
+secant steps inside the bracket, bisection when they stall), which reuses
+the grid values at the bracket ends.
 """
 
 from __future__ import annotations
@@ -17,18 +19,15 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import DomainError, GravTritterError
-from .fock import (
-    evolve_two_photon,
-    hom_record,
-    negativity,
-    negativity_lower_bound,
-    trace_out_third,
-)
+from .fock import coincidence_amplitude, two_photon_observables
 from .modes import ModeProfile, orthonormalize_pair
-from .tritter import tritter_from_modes
+from .tritter import check_orthogonal, tritters_from_modes
 
 # Cap on one bracket's refinement, which reaches float resolution long before.
 _ROOT_MAX_EVALS = 200
+# Chi points per array program: a fine grid runs in chunks, so its arrays
+# (chi x lobe x lobe) stay small.
+_GRID_CHUNK = 256
 _EPS = float(np.finfo(float).eps)
 
 
@@ -97,32 +96,50 @@ CSV_HEADER = (
 
 
 class _Pipeline:
-    """Orthonormalized pair with per-chi evaluation helpers."""
+    """Orthonormalized pair with whole-grid and per-chi evaluation."""
 
     def __init__(self, spec: SweepSpec):
         self.e1, self.e2 = orthonormalize_pair(spec.profile1, spec.profile2)
+        check_orthogonal(self.e1, self.e2)
+        self._last = ([], None)  # chis and mixers of the last evaluation
+
+    def _mixers(self, chis: list[float]):
+        # A root's row reuses the mixer of the Brent step that found it.
+        if chis != self._last[0]:
+            self._last = (chis, tritters_from_modes(self.e1, self.e2, chis))
+        return self._last[1]
+
+    def rows(self, chis: list[float]) -> list:
+        """A ``SweepRow`` per chi, or the error raised at that chi."""
+        u, angles, _overlaps, errors = self._mixers(chis)
+        observed, unitarity_errors = two_photon_observables(u)
+        columns = {"theta": angles.theta, "phi": angles.phi, "psi": angles.psi}
+        columns.update(observed)
+        values = zip(*(column.tolist() for column in columns.values()))
+        return [
+            error or unitarity_error or SweepRow(chi, **dict(zip(columns, row)))
+            for chi, error, unitarity_error, row in zip(
+                chis, errors, unitarity_errors, values
+            )
+        ]
 
     def row(self, chi: float) -> SweepRow:
-        u, angles, _rec = tritter_from_modes(self.e1, self.e2, chi)
-        state = evolve_two_photon(u)
-        rho = trace_out_third(state, n_max=2)
-        rec = hom_record(u)
-        return SweepRow(
-            chi=float(chi),
-            theta=angles.theta,
-            phi=angles.phi,
-            psi=angles.psi,
-            hom_coeff=rec.coefficient,
-            rho2020=rec.rho2020,
-            rho0202=rec.rho0202,
-            rho1111=float(rho.entry(1, 1, 1, 1).real),
-            negativity=negativity(rho),
-            neg_bound=negativity_lower_bound(rho),
-        )
+        (row,) = self.rows([chi])
+        if isinstance(row, GravTritterError):
+            raise row
+        return row
+
+    def signed_coincidences(self, chis: list[float]) -> list[float]:
+        """The signed coincidence quantity at each chi; raises the error of
+        the first chi that fails."""
+        u, _angles, _overlaps, errors = self._mixers(chis)
+        for error in errors:
+            if error is not None:
+                raise error
+        return coincidence_amplitude(u).real.tolist()
 
     def signed_coincidence(self, chi: float) -> float:
-        u, _angles, _rec = tritter_from_modes(self.e1, self.e2, chi)
-        return float((u[0, 0] * u[1, 1] + u[0, 1] * u[1, 0]).real)
+        return self.signed_coincidences([chi])[0]
 
 
 def sweep_chi(spec: SweepSpec) -> list[SweepRow]:
@@ -131,14 +148,13 @@ def sweep_chi(spec: SweepSpec) -> list[SweepRow]:
     A row that fails keeps its chi and carries an error tag in ``status``;
     the sweep continues.
     """
-    pipeline = _Pipeline(spec)
-    rows = []
-    for chi in spec.chi_values():
-        try:
-            rows.append(pipeline.row(float(chi)))
-        except GravTritterError as exc:
-            rows.append(SweepRow(chi=float(chi), status=f"error:{exc}"))
-    return rows
+    chis = spec.chi_values().tolist()
+    return [
+        SweepRow(chi=chi, status=f"error:{row}")
+        if isinstance(row, GravTritterError)
+        else row
+        for chi, row in zip(chis, _chunked(_Pipeline(spec).rows, chis))
+    ]
 
 
 def find_hom(spec: SweepSpec) -> list[HomRoot]:
@@ -153,7 +169,7 @@ def find_hom(spec: SweepSpec) -> list[HomRoot]:
     """
     pipeline = _Pipeline(spec)
     grid = spec.chi_values()
-    values = [pipeline.signed_coincidence(float(c)) for c in grid]
+    values = _chunked(pipeline.signed_coincidences, grid.tolist())
 
     roots: list[HomRoot] = []
     for i in range(len(grid) - 1):
@@ -180,6 +196,14 @@ def find_hom(spec: SweepSpec) -> list[HomRoot]:
         if root is not None:
             roots.append(root)
     return roots
+
+
+def _chunked(evaluate, chis: list[float]) -> list:
+    return [
+        out
+        for k in range(0, len(chis), _GRID_CHUNK)
+        for out in evaluate(chis[k : k + _GRID_CHUNK])
+    ]
 
 
 def _brent(f, a, b, fa, fb, tol):

@@ -4,7 +4,9 @@ The mixer acts on the operator triple (A_mode1, A_mode2, A_perp), where the
 third slot collects everything orthogonal to the two chosen wavepackets and
 is never represented pointwise.  The three mixing angles are fixed by the
 moduli of the overlaps between the redshifted and original profiles; the
-matrix is the zero-phase product of three beam-splitter rotations.
+matrix is the zero-phase product of three beam-splitter rotations.  A chi
+grid takes one array program (``tritters_from_modes``), of which
+``tritter_from_modes`` is the one-chi case.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InconsistencyError
+from .errors import DomainError, GravTritterError, InconsistencyError
+from .fock import unitarity_residual  # also this module's, for its callers
 from .geometry import chi_squared
-from .modes import ModeProfile, inner_product, overlap_matrix, redshift_transform
+from .modes import ModeProfile, inner_product, redshifted_overlaps
 
 # Slack distinguishing float noise from genuinely inconsistent overlaps.
 _BOUND_SLACK = 1e-9
@@ -23,7 +26,8 @@ _BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class TritterAngles:
-    """Mixing angles (theta, phi, psi), each in [0, pi/2]."""
+    """Mixing angles (theta, phi, psi), each in [0, pi/2]: floats, or arrays
+    of one shape for a stack of mixers."""
 
     theta: float
     phi: float
@@ -31,7 +35,7 @@ class TritterAngles:
 
     def __post_init__(self):
         for name, val in (("theta", self.theta), ("phi", self.phi), ("psi", self.psi)):
-            if not 0.0 <= val <= np.pi / 2 + 1e-12:
+            if not np.asarray((0.0 <= val) & (val <= np.pi / 2 + 1e-12)).all():
                 raise DomainError(f"{name} = {val} outside [0, pi/2]")
 
 
@@ -74,15 +78,13 @@ def angles_from_overlaps(o11: float, o22: float, o21: float) -> TritterAngles:
     """
     for name, val in (("o11", o11), ("o22", o22), ("o21", o21)):
         _clamp_unit(val, name)
-    if o11 * o11 + o21 * o21 > 1.0 + _BOUND_SLACK:
-        raise InconsistencyError(
-            f"o11^2 + o21^2 = {o11 * o11 + o21 * o21} > 1: not from orthonormal pairs"
-        )
-    if o22 * o22 + o21 * o21 > 1.0 + _BOUND_SLACK:
-        raise InconsistencyError(
-            f"o22^2 + o21^2 = {o22 * o22 + o21 * o21} > 1: not from orthonormal pairs"
-        )
-    phi = float(np.arcsin(_clamp_unit(o21, "o21")))
+    for name, val in (("o11", o11), ("o22", o22)):
+        if val * val + o21 * o21 > 1.0 + _BOUND_SLACK:
+            raise InconsistencyError(
+                f"{name}^2 + o21^2 = {val * val + o21 * o21} > 1: "
+                "not from orthonormal pairs"
+            )
+    theta, phi, psi, _ok = map(float, _stacked_angles(o11, o22, o21))
     cphi = float(np.cos(phi))
     if cphi < 1e-12:
         # Degenerate phi = pi/2: any theta/psi consistent; pick 0 deterministically.
@@ -91,19 +93,31 @@ def angles_from_overlaps(o11: float, o22: float, o21: float) -> TritterAngles:
                 f"cos(phi) ~ 0 but o11 = {o11}, o22 = {o22} nonzero"
             )
         return TritterAngles(0.0, phi, 0.0)
-    theta = float(np.arccos(_snap_one(_clamp_unit(o11 / cphi, "o11/cos(phi)"))))
-    psi = float(np.arccos(_snap_one(_clamp_unit(o22 / cphi, "o22/cos(phi)"))))
+    _clamp_unit(o11 / cphi, "o11/cos(phi)")
+    _clamp_unit(o22 / cphi, "o22/cos(phi)")
     return TritterAngles(theta, phi, psi)
 
 
-def _snap_one(x: float) -> float:
+def _stacked_angles(o11, o22, o21):
+    """The angles of :func:`angles_from_overlaps` for arrays of moduli, and
+    the mask of rows that surely pass its checks; any other row is for it
+    to decide."""
+    phi = np.arcsin(np.minimum(np.maximum(o21, 0.0), 1.0))
+    cphi = np.cos(phi)
     # arccos amplifies O(eps) rounding noise near 1 into O(sqrt(eps))
     # angles; arguments this close to 1 carry no physical signal.
-    return 1.0 if x > 1.0 - 1e-12 else x
+    theta, psi = (
+        np.arccos(np.where(r > 1.0 - 1e-12, 1.0, np.maximum(r, 0.0)))
+        for r in (o11 / cphi, o22 / cphi)
+    )
+    big = np.maximum(o11, o22)
+    ok = (cphi >= 1e-12) & (big / cphi <= 1.0 + _BOUND_SLACK)
+    return theta, phi, psi, ok & (big**2 + o21 * o21 <= 1.0 + _BOUND_SLACK)
 
 
 def build_tritter(angles: TritterAngles) -> np.ndarray:
-    """Zero-phase 3x3 tritter matrix for the given angles.
+    """Zero-phase 3x3 tritter matrix for the given angles, or an (n, 3, 3)
+    stack for angle arrays of shape (n,).
 
     Row/column order is (A_mode1, A_mode2, A_perp).  The matrix is the
     product of three rotations, hence real orthogonal with determinant +1;
@@ -120,12 +134,43 @@ def build_tritter(angles: TritterAngles) -> np.ndarray:
         ],
         dtype=complex,
     )
-    return u
+    return np.ascontiguousarray(u.transpose(*range(2, u.ndim), 0, 1))
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    """max |U U^dag - 1| entrywise."""
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(3))))
+def check_orthogonal(f1: ModeProfile, f2: ModeProfile) -> None:
+    """DomainError unless <F1,F2> vanishes to 1e-6."""
+    c0 = inner_product(f1, f2)
+    if abs(c0) > 1e-6:
+        raise DomainError(
+            f"input profiles not orthogonal: |<F1,F2>| = {abs(c0):.3e} > 1e-6"
+        )
+
+
+def tritters_from_modes(
+    f1: ModeProfile, f2: ModeProfile, chis: list[float]
+) -> tuple[np.ndarray, TritterAngles, np.ndarray, list]:
+    """:func:`tritter_from_modes` at every chi of a grid, as one array
+    program, for a pair the caller has checked to be orthonormal.
+
+    Returns the (n, 3, 3) mixers, a :class:`TritterAngles` of (n,) arrays,
+    the (n, 2, 2) overlaps [k, i, j] = <F_i', F_j> at chis[k], and per chi
+    None or the error :func:`tritter_from_modes` raises there.  A failed
+    row's angles are 0, so its mixer is the identity.
+    """
+    c, errors = redshifted_overlaps((f1, f2), (f1, f2), chis)
+    o = np.hypot(c.real, c.imag)  # abs() of each overlap, to the bit
+    theta, phi, psi, ok = _stacked_angles(o[:, 0, 0], o[:, 1, 1], o[:, 1, 0])
+    for k in np.flatnonzero(~ok):  # the checks' own verdict and message
+        try:
+            row = angles_from_overlaps(*o[k, [0, 1, 1], [0, 1, 0]].tolist())
+            theta[k], phi[k], psi[k] = row.theta, row.phi, row.psi
+        except GravTritterError as exc:
+            errors[k] = errors[k] or exc
+    if any(errors):
+        failed = [e is not None for e in errors]
+        theta[failed] = phi[failed] = psi[failed] = 0.0
+    angles = TritterAngles(theta, phi, psi)
+    return build_tritter(angles), angles, c, errors
 
 
 def tritter_from_modes(
@@ -135,20 +180,16 @@ def tritter_from_modes(
 
     The caller orthonormalizes first; <F1,F2> must vanish to 1e-6.  The
     four overlaps of (F1', F2') with (F1, F2) come from one
-    :func:`overlap_matrix` pass.  Returns the matrix, the extracted angles,
-    and the raw overlap record (including the diagnostic fourth overlap
-    <F1', F2>).
+    :func:`redshifted_overlaps` pass.  Returns the matrix, the extracted
+    angles, and the raw overlap record (including the diagnostic fourth
+    overlap <F1', F2>).
     """
-    c0 = inner_product(f1, f2)
-    if abs(c0) > 1e-6:
-        raise DomainError(
-            f"input profiles not orthogonal: |<F1,F2>| = {abs(c0):.3e} > 1e-6"
-        )
-    f1p = redshift_transform(f1, chi)
-    f2p = redshift_transform(f2, chi)
-    (c11, c12), (c21, c22) = overlap_matrix((f1p, f2p), (f1, f2)).tolist()
-    angles = angles_from_overlaps(abs(c11), abs(c22), abs(c21))
-    u = build_tritter(angles)
+    check_orthogonal(f1, f2)
+    u, angles, c, (error,) = tritters_from_modes(f1, f2, [chi])
+    if error is not None:
+        raise error
+    u = u[0]
+    (c11, c12), (c21, c22) = c[0].tolist()
     record = OverlapRecord(
         o11=abs(c11),
         o22=abs(c22),
@@ -160,7 +201,8 @@ def tritter_from_modes(
         c12=c12,
         u12_residual=float(abs(u[0, 1]) - abs(c12)),
     )
-    return u, angles, record
+    scalars = (angles.theta.item(), angles.phi.item(), angles.psi.item())
+    return u, TritterAngles(*scalars), record
 
 
 def nogo_normalization(chi: float) -> float:

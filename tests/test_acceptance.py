@@ -17,7 +17,6 @@ from gravtritter import (
     StaticSchwarzschildConfig,
     SweepSpec,
     TritterAngles,
-    apply_mixer,
     build_tritter,
     evolve_two_photon,
     find_hom,
@@ -39,6 +38,7 @@ from gravtritter.geometry import SPEED_OF_LIGHT
 from gravtritter.search import _Pipeline
 from gravtritter.tritter import unitarity_residual
 from conftest import gaussian_overlap
+from permanent_rule import apply_mixer
 
 
 @contextmanager

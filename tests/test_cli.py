@@ -351,6 +351,56 @@ def test_sweep_reaching_out_of_range_chi_keeps_rows(tmp_path, capsys, chi):
     }
 
 
+# chi^2 and 1/chi^2 are finite, but the overlaps of unit-width lobes are not.
+OVERFLOWING_CHI = [1e-100, 1e-153]
+OVERFLOW = "out of range: the redshifted overlaps overflow"
+
+
+@pytest.mark.parametrize("chi", OVERFLOWING_CHI)
+@pytest.mark.parametrize("command", ["tritter", "evolve", "find-hom"])
+def test_overflowing_chi_exit_3(tmp_path, capsys, command, chi):
+    """An error naming chi, not a NaN angle, and no floating-point warning
+    (pytest turns any RuntimeWarning into a failure)."""
+    text = json.dumps(OUT_OF_RANGE_CHI_CONFIGS[command]).replace('"@"', repr(chi))
+    assert main([command, "--config", write_config(tmp_path, json.loads(text))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: redshift parameter chi = {chi} {OVERFLOW}\n"
+
+
+@pytest.mark.parametrize("chi", OVERFLOWING_CHI)
+def test_sweep_reaching_overflowing_chi_keeps_rows(tmp_path, capsys, chi):
+    cfg = write_config(
+        tmp_path, {**GAUSSIAN_PAIR, "chi_lo": chi, "chi_hi": 1.0, "grid": 2}
+    )
+    code, out = run(capsys, ["sweep", "--config", cfg, "--format", "json"])
+    assert code == 0
+    status = {row["chi"]: row["status"] for row in json.loads(out)["rows"]}
+    want = f"error:redshift parameter chi = {chi} {OVERFLOW}"
+    assert status == {chi: want, 1.0: "ok"}
+
+
+@pytest.mark.parametrize("orthonormalize", [True, False])
+def test_table_grid_overflow_exit_3(tmp_path, capsys, orthonormalize):
+    """At chi = 1e-154, chi^2 = 1e-308 is in range but a table's grid over
+    it is not; a distant gaussian keeps the pair orthogonal unnormalized."""
+    omega = np.linspace(90.0, 110.0, 6).tolist()
+    level = [20.0**-0.5] * 6
+    table = {"kind": "tabulated", "omega": omega, "re": level, "im": [0.0] * 6}
+    cfg = write_config(
+        tmp_path,
+        {
+            "mode1": table,
+            "mode2": {"kind": "gaussian", "omega0": 140.0, "sigma": 1.0},
+            "chi": 1e-154,
+            "orthonormalize": orthonormalize,
+        },
+    )
+    assert main(["tritter", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: redshift parameter chi = 1e-154 {OVERFLOW}\n"
+
+
 @pytest.mark.parametrize("command", ["sweep", "find-hom"])
 @pytest.mark.parametrize("hom_tol", [0.0, -1.0])
 def test_non_positive_hom_tol_exit_3(tmp_path, capsys, command, hom_tol):

@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from gravtritter import (
     FockState,
     TritterAngles,
     TwoModeDensityMatrix,
-    apply_mixer,
     build_tritter,
     evolve_two_photon,
     hom_coefficient,
@@ -18,7 +17,8 @@ from gravtritter import (
     partial_transpose,
     trace_out_third,
 )
-from gravtritter.fock import occupation_basis, permanent
+from gravtritter.fock import two_photon_observables
+from permanent_rule import apply_mixer, occupation_basis, permanent
 
 
 def expansion_oracle(state: FockState, u: np.ndarray) -> FockState:
@@ -313,3 +313,94 @@ class TestHomRecord:
                 assert abs(rho.entry(0, 2, 1, 1)) < 1e-9
                 assert abs(rho.entry(2, 0, 1, 1)) < 1e-9
         assert hits == 25
+
+
+def per_entry_observables(u: np.ndarray) -> tuple[list, np.ndarray]:
+    """hom coefficient, rho2020, rho0202, rho1111, negativity and its bound
+    of one mixer, and its reduced state, by per-entry formulas: dict
+    amplitudes, rho accumulated entry by entry, the bound in Python float
+    arithmetic."""
+    amps = {
+        (0, 0, 2): sqrt(2.0) * u[0, 2] * u[1, 2],
+        (0, 2, 0): sqrt(2.0) * u[0, 1] * u[1, 1],
+        (2, 0, 0): sqrt(2.0) * u[0, 0] * u[1, 0],
+        (0, 1, 1): u[0, 2] * u[1, 1] + u[0, 1] * u[1, 2],
+        (1, 1, 0): u[0, 0] * u[1, 1] + u[0, 1] * u[1, 0],
+        (1, 0, 1): u[0, 0] * u[1, 2] + u[0, 2] * u[1, 0],
+    }
+    rho = np.zeros((9, 9), dtype=complex)
+    for (n, m, k), a in amps.items():
+        for (p, q, kk), b in amps.items():
+            if k == kk:
+                rho[3 * n + m, 3 * p + q] += complex(a) * np.conj(complex(b))
+    pt = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
+    eigs = np.linalg.eigvalsh(pt)
+    r0101, r1010 = complex(rho[1, 1]).real, complex(rho[3, 3]).real
+    c0211, c2011 = complex(rho[2, 4]), complex(rho[6, 4])
+    bound = 0.5 * (sqrt(r0101**2 + 4.0 * abs(c0211) ** 2) - r0101) + 0.5 * (
+        sqrt(r1010**2 + 4.0 * abs(c2011) ** 2) - r1010
+    )
+    return [
+        float(abs(amps[(1, 1, 0)])),
+        float(2.0 * abs(u[0, 0] * u[1, 0]) ** 2),
+        float(2.0 * abs(u[0, 1] * u[1, 1]) ** 2),
+        complex(rho[4, 4]).real,
+        float(np.sum(np.abs(eigs[eigs < -1e-11]))),
+        bound,
+    ], rho
+
+
+class TestStackedObservables:
+    def test_rows_equal_per_entry_formulas(self, rng):
+        """Bit for bit (repr tells -0.0 from 0.0), on 1500 mixers whose
+        angles are often exactly 0 or pi/2, so that U holds exact zeros."""
+        angles = rng.uniform(0.0, np.pi / 2, (3, 1500))
+        edges = rng.integers(0, 4, angles.shape)
+        angles[edges == 0], angles[edges == 1] = 0.0, np.pi / 2
+        u = build_tritter(TritterAngles(*angles))
+        observed, errors = two_photon_observables(u)
+        assert errors == [None] * len(u)
+        got = np.column_stack(list(observed.values()))
+        for k in range(len(u)):
+            want, rho = per_entry_observables(u[k])
+            assert list(map(repr, got[k].tolist())) == list(map(repr, want))
+            reduced = trace_out_third(evolve_two_photon(u[k])).matrix
+            assert repr(reduced.tolist()) == repr(rho.tolist())
+
+    def test_bound_rows_equal_python_arithmetic(self, rng):
+        """The bound's squares round as Python's ** does, which x * x does
+        not always match in the last bit."""
+        rho = np.zeros((5000, 9, 9), dtype=complex)
+        for i, j in ((1, 1), (3, 3)):
+            rho[:, i, j] = rng.uniform(0.0, 1.0, 5000)
+        for i, j in ((2, 4), (6, 4)):
+            rho[:, i, j] = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+        for k, matrix in enumerate(rho):
+            want = negativity_lower_bound(TwoModeDensityMatrix(2, matrix))
+            r0101, r1010 = float(matrix[1, 1].real), float(matrix[3, 3].real)
+            c0211, c2011 = complex(matrix[2, 4]), complex(matrix[6, 4])
+            first = 0.5 * (sqrt(r0101**2 + 4.0 * abs(c0211) ** 2) - r0101)
+            second = 0.5 * (sqrt(r1010**2 + 4.0 * abs(c2011) ** 2) - r1010)
+            assert want == first + second
+
+    def test_stacked_negativity_adds_as_np_sum(self, rng):
+        """Partial transposes with 1 to 7 negative eigenvalues (two-photon
+        states reach 3): each stacked row equals np.sum over its own
+        negative eigenvalues, bit for bit."""
+        shape = (700, 9, 9)
+        q, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        lam = rng.uniform(0.01, 1.0, (700, 9))
+        lam[np.arange(9) < np.arange(700)[:, None] % 7 + 1] *= -1.0
+        pt = (q * lam[:, None, :]) @ np.conj(np.swapaxes(q, -1, -2))
+        rho = TwoModeDensityMatrix(2, partial_transpose(TwoModeDensityMatrix(2, pt)))
+        got = negativity(rho)
+        for k in range(700):
+            one = TwoModeDensityMatrix(2, rho.matrix[k])
+            eigs = np.linalg.eigvalsh(partial_transpose(one))
+            assert got[k] == float(np.sum(np.abs(eigs[eigs < -1e-11])))
+
+    def test_non_unitary_row_fails_alone(self):
+        u = np.stack([np.eye(3), 1.1 * np.eye(3), np.eye(3)]).astype(complex)
+        _observed, errors = two_photon_observables(u)
+        assert errors[0] is None and errors[2] is None
+        assert str(errors[1]) == "mixer matrix is not unitary to 1e-10"

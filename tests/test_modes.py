@@ -360,6 +360,20 @@ class TestRedshiftTransform:
             with pytest.raises(DomainError, match=message):
                 redshift_transform(p, chi)
 
+    def test_table_grid_overflow_names_chi(self):
+        """chi^2 = 1e-308 is in range, but the grid over it is not finite:
+        an error naming chi, with no floating-point warning."""
+        table = tabulated_from(GaussianProfile(100.0, 1.0), n=101)
+        message = re.escape("redshift parameter chi = 1e-154 out of range")
+        with pytest.raises(DomainError, match=message):
+            redshift_transform(table, 1e-154)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_table_grid_rejected(self, bad):
+        for grid in ([1.0, 2.0, bad], [bad, 2.0, 3.0], [1.0, bad, 3.0]):
+            with pytest.raises(DomainError, match="tabulated grid must be finite"):
+                TabulatedProfile(np.array(grid), np.ones(3, complex))
+
     @pytest.mark.parametrize("chi", CHI_GRID)
     def test_norm_preserved_all_kinds(self, chi):
         profiles = [

@@ -1,16 +1,33 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gravtritter import (
     DomainError,
     GaussianProfile,
+    GravTritterError,
     SweepSpec,
+    TabulatedProfile,
+    angles_from_overlaps,
+    build_tritter,
+    evolve_two_photon,
     find_hom,
+    hom_record,
     make_comb,
+    negativity,
+    negativity_lower_bound,
+    orthonormalize_pair,
+    redshift_transform,
     sweep_chi,
+    trace_out_third,
 )
-from gravtritter import search
-from gravtritter.search import CSV_HEADER, rows_to_csv, rows_to_json
+from gravtritter import modes, search, tritter
+from gravtritter.modes import overlap_matrix
+from gravtritter.search import CSV_HEADER, SweepRow, rows_to_csv, rows_to_json
+from gravtritter.tritter import tritters_from_modes
 
 
 def alternating_comb_pair():
@@ -140,15 +157,18 @@ class TestRootRefinement:
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
+        """(chi, value) of every evaluation: each grid chi of the batched
+        scan, then each Brent step (``signed_coincidence`` is the one-chi
+        case of ``signed_coincidences``)."""
         seen = []
-        signed_coincidence = search._Pipeline.signed_coincidence
+        signed_coincidences = search._Pipeline.signed_coincidences
 
-        def counting(pipeline, chi):
-            value = signed_coincidence(pipeline, chi)
-            seen.append((chi, value))
-            return value
+        def counting(pipeline, chis):
+            values = signed_coincidences(pipeline, chis)
+            seen.extend(zip(chis, values))
+            return values
 
-        monkeypatch.setattr(search._Pipeline, "signed_coincidence", counting)
+        monkeypatch.setattr(search._Pipeline, "signed_coincidences", counting)
         return seen
 
     @staticmethod
@@ -167,6 +187,21 @@ class TestRootRefinement:
         assert root.converged
         assert self.brackets(spec, evaluations) == 1
         assert len(evaluations) - spec.grid <= 12
+
+    def test_root_row_reuses_the_last_mixer(self, evaluations, monkeypatch):
+        """One mixer stack for the grid, one per Brent step, none for the
+        root's row."""
+        stacks = []
+
+        def counting(f1, f2, chis):
+            stacks.append(len(chis))
+            return tritters_from_modes(f1, f2, chis)
+
+        monkeypatch.setattr(search, "tritters_from_modes", counting)
+        spec = self.criterion6_spec()
+        (root,) = find_hom(spec)
+        assert root.converged and root.chi == evaluations[-1][0]
+        assert stacks == [spec.grid] + [1] * (len(evaluations) - spec.grid)
 
     def test_root_agrees_with_scipy_brentq(self, evaluations):
         from scipy.optimize import brentq
@@ -234,3 +269,146 @@ class TestSerialization:
         docs = rows_to_json(rows)
         assert len(docs) == 2
         assert set(docs[0]) == set(CSV_HEADER.split(","))
+
+
+@st.composite
+def profile_pairs(draw):
+    """Two distinct gaussian, comb or tabulated profiles near omega = 100."""
+    kind = draw(st.sampled_from(["gaussian", "comb", "table"]))
+    centre, width = st.floats(92.0, 108.0), st.floats(0.5, 2.0)
+    if kind == "gaussian":
+        first = GaussianProfile(draw(centre), draw(width), draw(st.floats(0.0, 3.0)))
+        offset = draw(st.floats(0.5, 6.0))
+        return first, GaussianProfile(first.omega0 + offset, draw(width))
+    weight, spacing = st.sampled_from([1.0, -1.0, 0.5j]), st.floats(1.0, 4.0)
+    combs = []
+    for _ in range(2):
+        first, step = draw(centre), draw(spacing)
+        lobes = draw(st.integers(1, 3))
+        peaks = [(draw(weight), first + k * step, draw(width)) for k in range(lobes)]
+        combs.append(make_comb(peaks))
+    if kind == "comb":
+        return tuple(combs)
+    grid = np.linspace(80.0, 120.0, draw(st.integers(40, 200)))
+    return tuple(TabulatedProfile(grid, c.evaluate(grid)) for c in combs)
+
+
+def orthonormal(pair):
+    try:
+        return orthonormalize_pair(*pair)
+    except GravTritterError:  # parallel draws
+        return None
+
+
+def per_chi_row(e1, e2, chi) -> SweepRow:
+    """One chi by the one-profile and one-mixer API, the route of sweeps
+    before they were batched: the redshifted pair, its overlap matrix with
+    the pair, angles from the moduli, the mixer, then the state."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = [redshift_transform(e, chi) for e in (e1, e2)]
+            (c11, c12), (c21, c22) = overlap_matrix(shifted, (e1, e2)).tolist()
+        if not np.all(np.isfinite([c11, c12, c21, c22])):
+            raise DomainError(
+                f"redshift parameter chi = {chi} out of range: "
+                "the redshifted overlaps overflow"
+            )
+        angles = angles_from_overlaps(abs(c11), abs(c22), abs(c21))
+        u = build_tritter(angles)
+        rho = trace_out_third(evolve_two_photon(u))
+    except GravTritterError as exc:
+        return SweepRow(chi, status=f"error:{exc}")
+    rec = hom_record(u)
+    return SweepRow(
+        chi, angles.theta, angles.phi, angles.psi, rec.coefficient, rec.rho2020,
+        rec.rho0202, rho.entry(1, 1, 1, 1).real, negativity(rho),
+        negativity_lower_bound(rho),
+    )
+
+
+class TestBatchedPipeline:
+    """The sweep's one array program over the chi grid against the
+    per-chi route, bit for bit (repr tells -0.0 from 0.0 and matches NaN)."""
+
+    @given(
+        pair=profile_pairs(),
+        chi_lo=st.sampled_from([1e-170, 1e-153, 1e-100, 0.9, 1.0]),
+        chi_hi=st.sampled_from([1.0, 1.04, 1.5, 1e200]),
+        grid=st.integers(2, 9),
+    )
+    def test_rows_equal_the_per_chi_route(self, pair, chi_lo, chi_hi, grid):
+        spec = SweepSpec(*pair, chi_lo, chi_hi, grid)
+        e12 = orthonormal(pair)
+        if e12 is None:
+            return
+        want = [per_chi_row(*e12, chi) for chi in spec.chi_values().tolist()]
+        got = sweep_chi(spec)
+        assert [list(map(repr, astuple(r))) for r in got] == [
+            list(map(repr, astuple(r))) for r in want
+        ]
+
+    @given(pair=profile_pairs(), chis=st.lists(st.floats(0.8, 1.25), max_size=8))
+    def test_stacked_mixers_unitary_with_unit_determinant(self, pair, chis):
+        e12 = orthonormal(pair)
+        if e12 is None:
+            return
+        u, _angles, _overlaps, _errors = tritters_from_modes(*e12, [1.0, *chis])
+        assert u.shape == (len(chis) + 1, 3, 3)
+        assert np.max(np.abs(u[0] - np.eye(3))) < 1e-12  # identity at chi = 1
+        gram = u @ np.conj(np.swapaxes(u, -1, -2))
+        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+        assert np.max(np.abs(np.linalg.det(u) - 1.0)) < 1e-12
+
+    def test_lobe_passes_do_not_grow_with_the_grid(self, monkeypatch):
+        """Counting guard, no timing: a 70-point comb sweep makes as many
+        lobe-overlap broadcasts as a 7-point one."""
+        calls = []
+        lobe_overlaps = modes._lobe_overlaps
+
+        def counting(*args):
+            calls.append(args)
+            return lobe_overlaps(*args)
+
+        monkeypatch.setattr(modes, "_lobe_overlaps", counting)
+        f1, f2 = alternating_comb_pair()
+        counts = []
+        for grid in (7, 70):
+            calls.clear()
+            rows = sweep_chi(SweepSpec(f1, f2, 1.0, 1.03, grid))
+            assert [r.status for r in rows] == ["ok"] * grid
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_grid_chunks_change_no_bit(self, monkeypatch):
+        """A grid longer than a chunk runs in several array programs, with
+        the rows and roots of one."""
+        f1, f2 = alternating_comb_pair()
+        spec = SweepSpec(f1, f2, 0.99, 1.03, 11, hom_tol=1e-11, population_floor=1e-4)
+        whole = (sweep_chi(spec), find_hom(spec))
+        stacks = []
+
+        def counting(f1, f2, chis):
+            stacks.append(len(chis))
+            return tritters_from_modes(f1, f2, chis)
+
+        monkeypatch.setattr(search, "_GRID_CHUNK", 4)
+        monkeypatch.setattr(search, "tritters_from_modes", counting)
+        rows = sweep_chi(spec)
+        assert stacks == [4, 4, 3]
+        assert [list(map(repr, astuple(r))) for r in rows] == [
+            list(map(repr, astuple(r))) for r in whole[0]
+        ]
+        assert find_hom(spec) == whole[1] and whole[1]
+
+    def test_orthogonality_checked_once_per_sweep(self, monkeypatch):
+        calls = []
+        inner_product = tritter.inner_product
+
+        def counting(f, g):
+            calls.append((f, g))
+            return inner_product(f, g)
+
+        monkeypatch.setattr(tritter, "inner_product", counting)
+        f1, f2 = alternating_comb_pair()
+        sweep_chi(SweepSpec(f1, f2, 1.0, 1.03, 7))
+        assert len(calls) == 1

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gravtritter import (
     DomainError,
     GaussianProfile,
+    GravTritterError,
     InconsistencyError,
     TritterAngles,
     angles_from_overlaps,
@@ -12,8 +15,15 @@ from gravtritter import (
     orthonormalize_pair,
     tritter_from_modes,
 )
-from gravtritter.tritter import unitarity_residual
+from gravtritter import tritter
+from gravtritter.tritter import _stacked_angles, tritters_from_modes, unitarity_residual
 from conftest import gaussian_overlap
+
+# Moduli inside, at and just past the bounds the angle checks enforce.
+MODULI = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, 1.0 + 1e-10, 1.0 + 2e-9, 1.5, float("nan")]),
+)
 
 
 class TestAnglesFromOverlaps:
@@ -58,7 +68,62 @@ class TestAnglesFromOverlaps:
         assert a.theta == 0.0
 
 
+class TestStackedAngles:
+    @given(st.lists(st.tuples(MODULI, MODULI, MODULI), min_size=1, max_size=8))
+    def test_rows_pass_only_where_the_checks_pass(self, triples):
+        """A row the stacked angles pass has the angles of the scalar
+        route, bit for bit; a row it would reject is never passed."""
+        theta, phi, psi, ok = _stacked_angles(*map(np.array, zip(*triples)))
+        for k, triple in enumerate(triples):
+            try:
+                want = angles_from_overlaps(*triple)
+            except GravTritterError:
+                assert not ok[k]
+                continue
+            if ok[k]:
+                assert (theta[k], phi[k], psi[k]) == (want.theta, want.phi, want.psi)
+
+    def test_failed_rows_keep_their_own_errors(self, monkeypatch):
+        """Overlaps breaking a Bessel bound fail only their row, with the
+        scalar message; a degenerate but valid row takes the scalar angles."""
+        c = np.array(
+            [
+                [[0.8, 0.0], [0.36, 0.6]],
+                [[0.9, 0.0], [0.9, 0.1]],
+                [[0.0, 0.0], [1.0, 0.0]],
+            ],
+            dtype=complex,
+        )
+        monkeypatch.setattr(
+            tritter, "redshifted_overlaps", lambda rows, cols, chis: (c, [None] * 3)
+        )
+        pair = GaussianProfile(100.0, 1.0), GaussianProfile(104.0, 1.0)
+        e1, e2 = orthonormalize_pair(*pair)
+        u, angles, _c, errors = tritters_from_modes(e1, e2, [1.0, 1.1, 1.2])
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], InconsistencyError)
+        with pytest.raises(InconsistencyError) as want:
+            angles_from_overlaps(0.9, 0.1, 0.9)
+        assert str(errors[1]) == str(want.value)
+        assert np.array_equal(u[1], np.eye(3))
+        assert angles.phi[2] == np.arcsin(1.0)
+        assert angles.theta[2] == angles.psi[2] == 0.0
+        assert np.array_equal(u[0], build_tritter(angles_from_overlaps(0.8, 0.6, 0.36)))
+
+
 class TestBuildTritter:
+    def test_stack_equals_each_mixer(self, rng):
+        angles = rng.uniform(0.0, np.pi / 2, (3, 6))
+        stack = build_tritter(TritterAngles(*angles))
+        assert stack.shape == (6, 3, 3)
+        for k in range(6):
+            one = build_tritter(TritterAngles(*angles[:, k].tolist()))
+            assert np.array_equal(stack[k], one)
+
+    def test_angle_arrays_checked_entrywise(self):
+        with pytest.raises(DomainError):
+            TritterAngles(np.array([0.1, -0.1]), np.zeros(2), np.zeros(2))
+
     def test_identity(self):
         u = build_tritter(TritterAngles(0.0, 0.0, 0.0))
         assert np.allclose(u, np.eye(3), atol=1e-15)
