@@ -2,8 +2,9 @@
 
 Every subcommand reads a JSON config (``--config``), validates it against a
 schema that rejects unknown keys, and emits a JSON report or a CSV table
-with a reproducibility header carrying the library version and the fully
-resolved config.  Each schema is compiled into a validator once, at import.
+with a reproducibility header carrying the library version and the config.
+Both show a tabulated mode as its ``points`` and the ``sha256`` of its
+float64 ``omega``, ``re``, ``im``.  Schemas compile to validators at import.
 
 Exit codes: 0 success, 2 schema violation, 3 domain/numerical error,
 4 unwritable output path.
@@ -19,6 +20,7 @@ import os
 import sys
 
 import jsonschema
+import numpy as np
 from jsonschema.validators import Draft202012Validator
 
 from . import __version__
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_DOMAIN = 3
 EXIT_OUTPUT = 4
+_NOGO_TOL = 1e-12  # a commutator norm this close to 1 allows a unitary shift
 
 _NUM = {"type": "number"}
 _NUM_ARRAY = {"type": "array", "items": _NUM}
@@ -268,8 +271,21 @@ class _SchemaFailure(Exception):
     pass
 
 
+def _report_head(config: dict) -> dict:
+    """Version and config as reports show them: each table by the SHA-256 of
+    its numbers as parsed, little-endian float64, so 1, 1.0 and 1e0 agree."""
+    shown = dict(config)
+    for key, mode in config.items():
+        if key in ("mode1", "mode2") and mode["kind"] == "tabulated":
+            import hashlib  # not at the top: only a table pays for its import
+            raw = [np.asarray(mode[n], "<f8").tobytes() for n in ("omega", "re", "im")]
+            shown[key] = {"kind": "tabulated", "points": len(mode["omega"]),
+                          "sha256": hashlib.sha256(b"".join(raw)).hexdigest()}
+    return {"version": __version__, "config": shown}
+
+
 def _emit_report(payload: dict, config: dict, out_path: str | None) -> int:
-    report = {"version": __version__, "config": config, **payload}
+    report = {**_report_head(config), **payload}
     return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
 
 
@@ -312,10 +328,10 @@ def cmd_nogo(args) -> int:
             {
                 "chi": chi,
                 "commutator_norm": value,
-                "unitary_shift_possible": bool(abs(value - 1.0) <= 1e-12),
+                "unitary_shift_possible": bool(abs(value - 1.0) <= _NOGO_TOL),
             }
         )
-        if abs(value - 1.0) > 1e-12:
+        if abs(value - 1.0) > _NOGO_TOL:
             log.info("chi=%s: unitary shift impossible (norm %s)", chi, value)
     return _emit_report({"results": entries}, config, args.out)
 
@@ -402,9 +418,7 @@ def _sweep_spec(config: dict) -> SweepSpec:
 
 
 def _meta_comment(config: dict) -> str:
-    return json.dumps(
-        {"version": __version__, "config": config}, sort_keys=True
-    )
+    return json.dumps(_report_head(config), sort_keys=True)
 
 
 def cmd_sweep(args) -> int:

@@ -45,6 +45,9 @@ SUPPORT_REL_EPS = 1e-16
 # |F| falls below SUPPORT_REL_EPS of its peak this many sigmas out.
 _SUPPORT_HALF_WIDTH = 2.0 * np.sqrt(np.log(1.0 / SUPPORT_REL_EPS))
 
+_ORTHOGONALITY_TOL = 1e-6  # largest |<E1,E2>| of an orthogonal pair
+_PARALLEL_TOL = 1e-12  # Gram-Schmidt refuses |<E1,N2>| this close to 1
+
 
 def _gauss_lobe(omega: np.ndarray, center: float, width: float) -> np.ndarray:
     """Unit-normalized real Gaussian lobe on the given frequencies."""
@@ -380,11 +383,6 @@ def _table_lobe_inner(tables, comb: CombProfile) -> np.ndarray:
     return out
 
 
-def norm(profile: ModeProfile) -> float:
-    """sqrt(<F,F>)."""
-    return float(np.sqrt(inner_product(profile, profile).real))
-
-
 def redshift_transform(profile: ModeProfile, chi: float) -> ModeProfile:
     """Apply the redshift map F'(w) = chi * F(chi^2 w).
 
@@ -416,7 +414,7 @@ def make_comb(peaks) -> CombProfile:
     """
     peaks = tuple((complex(wt), float(c), float(s)) for wt, c, s in peaks)
     raw = CombProfile(peaks)
-    return _divided(raw, norm(raw))
+    return _divided(raw, math.sqrt(inner_product(raw, raw).real))
 
 
 def _as_comb(profile: ModeProfile) -> CombProfile | None:
@@ -456,23 +454,35 @@ def orthonormalize_pair(
     the subtraction stays in closed form as a weighted lobe list and every
     overlap is exact; if either input is tabulated, both outputs are
     tabulated on a merged grid so the projection coefficient and the final
-    orthogonality check share one exact rule.
+    orthogonality check share one exact rule.  Three overlap passes: the
+    input norms, <E1,N2>, the residual's norm and overlap with E1.
 
     Raises:
         DegeneracyError: inputs numerically parallel.
+        DomainError: the outputs are not orthogonal to 1e-6.
     """
     p1, p2 = _as_comb(f1), _as_comb(f2)
     if p1 is None or p2 is None:
         grid = _merged_grid(f1, f2)
         p1, p2 = _tabulate(f1, grid), _tabulate(f2, grid)
-    e1, n2 = _divided(p1, norm(p1)), _divided(p2, norm(p2))
+    norms = np.sqrt(overlap_matrix((p1, p2), (p1, p2)).diagonal().real).tolist()
+    e1, n2 = _divided(p1, norms[0]), _divided(p2, norms[1])
     c12 = inner_product(e1, n2)
-    if abs(c12) >= 1.0 - 1e-12:
+    if abs(c12) >= 1.0 - _PARALLEL_TOL:
         raise DegeneracyError(
             f"profiles numerically parallel, |<F1,F2>| = {abs(c12):.15f}"
         )
     residual = _minus(n2, c12, e1)
-    return e1, _divided(residual, norm(residual))
+    (norm_sq,), (leak,) = overlap_matrix((residual, e1), (residual,))
+    require_orthogonal(abs(leak) / math.sqrt(norm_sq.real))
+    return e1, _divided(residual, math.sqrt(norm_sq.real))
+
+
+def require_orthogonal(overlap: float) -> None:
+    """DomainError unless an overlap modulus |<F1,F2>| vanishes to 1e-6."""
+    if overlap > _ORTHOGONALITY_TOL:
+        message = f"input profiles not orthogonal: |<F1,F2>| = {overlap:.3e} > 1e-6"
+        raise DomainError(message)
 
 
 def _divided(p: CombProfile | TabulatedProfile, scale):

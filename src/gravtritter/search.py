@@ -21,10 +21,11 @@ import numpy as np
 from .errors import DomainError, GravTritterError
 from .fock import coincidence_amplitude, two_photon_observables
 from .modes import ModeProfile, orthonormalize_pair
-from .tritter import check_orthogonal, tritters_from_modes
+from .tritter import tritters_from_modes
 
 # Cap on one bracket's refinement, which reaches float resolution long before.
 _ROOT_MAX_EVALS = 200
+_MAX_GRID = 10**6  # larger grids are refused before linspace allocates them
 # Chi points per array program: a fine grid runs in chunks, so its arrays
 # (chi x lobe x lobe) stay small.
 _GRID_CHUNK = 256
@@ -53,6 +54,8 @@ class SweepSpec:
             raise DomainError("chi_hi must be >= chi_lo")
         if self.grid < 2:
             raise DomainError(f"grid size must be >= 2, got {self.grid}")
+        if self.grid > _MAX_GRID:
+            raise DomainError(f"grid size must be <= {_MAX_GRID}, got {self.grid}")
         if self.hom_tol <= 0:
             raise DomainError(f"hom tolerance must be positive, got {self.hom_tol}")
         if self.population_floor <= 0:
@@ -100,7 +103,6 @@ class _Pipeline:
 
     def __init__(self, spec: SweepSpec):
         self.e1, self.e2 = orthonormalize_pair(spec.profile1, spec.profile2)
-        check_orthogonal(self.e1, self.e2)
         self._last = ([], None)  # chis and mixers of the last evaluation
 
     def _mixers(self, chis: list[float]):

@@ -18,10 +18,13 @@ import numpy as np
 from .errors import DomainError, GravTritterError, InconsistencyError
 from .fock import unitarity_residual  # also this module's, for its callers
 from .geometry import chi_squared
-from .modes import ModeProfile, inner_product, redshifted_overlaps
+from .modes import ModeProfile, inner_product, redshifted_overlaps, require_orthogonal
 
 # Slack distinguishing float noise from genuinely inconsistent overlaps.
 _BOUND_SLACK = 1e-9
+_RANGE_SLACK = 1e-12  # of the [0, pi/2] range check on each angle
+_ANGLE_SNAP = 1e-12  # an arccos argument this close to 1 snaps to 1 (angle 0)
+_COS_PHI_FLOOR = 1e-12  # cos(phi) below this is the degenerate phi = pi/2
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class TritterAngles:
 
     def __post_init__(self):
         for name, val in (("theta", self.theta), ("phi", self.phi), ("psi", self.psi)):
-            if not np.asarray((0.0 <= val) & (val <= np.pi / 2 + 1e-12)).all():
+            if not np.asarray((0.0 <= val) & (val <= np.pi / 2 + _RANGE_SLACK)).all():
                 raise DomainError(f"{name} = {val} outside [0, pi/2]")
 
 
@@ -86,7 +89,7 @@ def angles_from_overlaps(o11: float, o22: float, o21: float) -> TritterAngles:
             )
     theta, phi, psi, _ok = map(float, _stacked_angles(o11, o22, o21))
     cphi = float(np.cos(phi))
-    if cphi < 1e-12:
+    if cphi < _COS_PHI_FLOOR:
         # Degenerate phi = pi/2: any theta/psi consistent; pick 0 deterministically.
         if o11 > _BOUND_SLACK or o22 > _BOUND_SLACK:
             raise InconsistencyError(
@@ -107,11 +110,11 @@ def _stacked_angles(o11, o22, o21):
     # arccos amplifies O(eps) rounding noise near 1 into O(sqrt(eps))
     # angles; arguments this close to 1 carry no physical signal.
     theta, psi = (
-        np.arccos(np.where(r > 1.0 - 1e-12, 1.0, np.maximum(r, 0.0)))
+        np.arccos(np.where(r > 1.0 - _ANGLE_SNAP, 1.0, np.maximum(r, 0.0)))
         for r in (o11 / cphi, o22 / cphi)
     )
     big = np.maximum(o11, o22)
-    ok = (cphi >= 1e-12) & (big / cphi <= 1.0 + _BOUND_SLACK)
+    ok = (cphi >= _COS_PHI_FLOOR) & (big / cphi <= 1.0 + _BOUND_SLACK)
     return theta, phi, psi, ok & (big**2 + o21 * o21 <= 1.0 + _BOUND_SLACK)
 
 
@@ -139,11 +142,7 @@ def build_tritter(angles: TritterAngles) -> np.ndarray:
 
 def check_orthogonal(f1: ModeProfile, f2: ModeProfile) -> None:
     """DomainError unless <F1,F2> vanishes to 1e-6."""
-    c0 = inner_product(f1, f2)
-    if abs(c0) > 1e-6:
-        raise DomainError(
-            f"input profiles not orthogonal: |<F1,F2>| = {abs(c0):.3e} > 1e-6"
-        )
+    require_orthogonal(abs(inner_product(f1, f2)))
 
 
 def tritters_from_modes(

@@ -1,12 +1,17 @@
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import Draft202012Validator
 
 import gravtritter
@@ -433,8 +438,10 @@ def test_main_calls_in_sequence_share_no_options(tmp_path, capsys):
 
 def test_commands_import_no_scipy(tmp_path):
     """scipy is a test dependency only: importing it would add about half a
-    second and 47 MB to every command.  A fresh interpreter runs sweep and
-    find-hom and reports whether any scipy module got loaded."""
+    second and 47 MB to every command; hashlib serves table digests only,
+    and would add about 4.5 ms to every import of the CLI.  A fresh
+    interpreter runs sweep and find-hom on a comb pair and reports whether
+    any scipy or hashlib module got loaded."""
     cfg = write_config(tmp_path, SWEEP_CONFIG)
     script = "\n".join([
         "import sys",
@@ -442,7 +449,8 @@ def test_commands_import_no_scipy(tmp_path):
         "for command in ('sweep', 'find-hom'):",
         f"    argv = [command, '--config', {cfg!r}, '--out', {os.devnull!r}]",
         "    assert cli.main(argv) == 0",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(sorted(m for m in sys.modules",
+        "             if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))",
     ])
     path = [str(Path(gravtritter.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -452,6 +460,171 @@ def test_commands_import_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def sampled_gaussian(omega0, points, lo=90.0, hi=114.0):
+    """A width-1 gaussian sampled on ``points`` nodes, as a tabulated mode."""
+    omega = np.linspace(lo, hi, points)
+    values = (2.0 * np.pi) ** -0.25 * np.exp(-((omega - omega0) ** 2) / 4.0)
+    return {
+        "kind": "tabulated",
+        "omega": omega.tolist(),
+        "re": values.tolist(),
+        "im": [0.0] * points,
+    }
+
+
+def table_digest(mode):
+    """The report form of a tabulated mode, computed without numpy."""
+    numbers = [float(x) for name in ("omega", "re", "im") for x in mode[name]]
+    raw = struct.pack(f"<{len(numbers)}d", *numbers)
+    return {
+        "kind": "tabulated",
+        "points": len(mode["omega"]),
+        "sha256": hashlib.sha256(raw).hexdigest(),
+    }
+
+
+def csv_meta(text):
+    first = text.splitlines()[0]
+    assert first.startswith("# ")
+    return json.loads(first[2:])
+
+
+class TestTableDigests:
+    """Reports and CSV headers name each table by its size and SHA-256."""
+
+    def test_sweep_header_replaces_each_table(self, tmp_path):
+        doc = {
+            "mode1": sampled_gaussian(100.0, 301),
+            "mode2": {"kind": "gaussian", "omega0": 104.0, "sigma": 1.0},
+            "chi_lo": 1.0,
+            "chi_hi": 1.01,
+            "grid": 3,
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        with open(cfg, encoding="utf-8") as fh:
+            read_back = json.load(fh)
+        shown = {**read_back, "mode1": table_digest(read_back["mode1"])}
+        assert csv_meta(out.read_text()) == {
+            "version": gravtritter.__version__,
+            "config": shown,
+        }
+
+    def test_digest_ignores_number_spelling(self, tmp_path, capsys):
+        omega = list(range(90, 111))
+        re_ = [max(0, 5 - abs(w - 100)) for w in omega]
+
+        def report_mode1(form, values=re_):
+            def spelled(xs):
+                return "[" + ", ".join(form.format(x) for x in xs) + "]"
+
+            text = (
+                '{"mode1": {"kind": "tabulated", "omega": %s, "re": %s, "im": %s},'
+                ' "mode2": {"kind": "gaussian", "omega0": 104.0, "sigma": 1.0},'
+                ' "chi": 1.0}'
+                % (spelled(omega), spelled(values), spelled([0] * len(omega)))
+            )
+            path = tmp_path / "config.json"
+            path.write_text(text)
+            code, out = run(capsys, ["tritter", "--config", str(path)])
+            assert code == 0
+            return json.loads(out)["config"]["mode1"]
+
+        shown = [report_mode1(form) for form in ("{:d}", "{:.1f}", "{:d}e0")]
+        want = table_digest({"omega": omega, "re": re_, "im": [0] * len(omega)})
+        assert shown == [want] * 3
+        changed = report_mode1("{:d}", [*re_[:10], 6, *re_[11:]])
+        assert changed["points"] == want["points"]
+        assert changed["sha256"] != want["sha256"]
+
+    def test_every_report_carries_the_same_digest(self, tmp_path, capsys):
+        table = sampled_gaussian(100.0, 201)
+        want = table_digest(table)
+        pair = {"mode1": table, "mode2": {"kind": "gaussian", "omega0": 104.0,
+                                          "sigma": 1.0}}
+        sweep = {**pair, "chi_lo": 1.0, "chi_hi": 1.01, "grid": 2}
+        runs = [
+            ("sweep", sweep, ["--format", "json"]),
+            ("tritter", {**pair, "chi": 1.005}, []),
+            ("evolve", {**pair, "chi": 1.005}, []),
+        ]
+        for command, doc, extra in runs:
+            cfg = write_config(tmp_path, doc, f"{command}.json")
+            code, out = run(capsys, [command, "--config", cfg, *extra])
+            assert code == 0
+            assert json.loads(out)["config"] == {**doc, "mode1": want}
+        code, out = run(capsys, ["sweep", "--config", write_config(tmp_path, sweep)])
+        assert code == 0 and csv_meta(out)["config"]["mode1"] == want
+
+    def test_8000_point_sweep_csv_is_small(self, tmp_path):
+        doc = {
+            "mode1": sampled_gaussian(100.0, 8000),
+            "mode2": sampled_gaussian(104.0, 8000),
+            "chi_lo": 1.0,
+            "chi_hi": 1.03,
+            "grid": 7,
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert os.path.getsize(cfg) > 400_000
+        assert out.stat().st_size < 4096
+        shown = csv_meta(out.read_text())["config"]
+        assert shown["mode2"] == table_digest(doc["mode2"])
+
+
+def _mode(kind, centre, rng):
+    if kind == "gaussian":
+        return {"kind": "gaussian", "omega0": centre, "sigma": rng.uniform(0.5, 2.0),
+                "phase": rng.uniform(0.0, 6.0)}
+    if kind == "comb":
+        peaks = [[rng.normal(), rng.normal(), centre + 4.0 * k, rng.uniform(0.5, 2.0)]
+                 for k in range(int(rng.integers(1, 4)))]
+        return {"kind": "comb", "peaks": peaks}
+    points = int(rng.integers(2, 300))
+    table = sampled_gaussian(centre, points, centre - 8.0, centre + 8.0)
+    return {**table, "im": rng.normal(0.0, 0.1, points).tolist()}
+
+
+KINDS = st.sampled_from(["gaussian", "comb", "tabulated"])
+
+
+@settings(max_examples=20)
+@given(kind1=KINDS, kind2=KINDS, seed=st.integers(0, 2**32 - 1))
+def test_sweep_csv_bytes_deterministic(kind1, kind2, seed):
+    """Two runs of one config write the same CSV bytes, tables included."""
+    rng = np.random.default_rng(seed)
+    doc = {
+        "mode1": _mode(kind1, 100.0, rng),
+        "mode2": _mode(kind2, 102.0, rng),
+        "chi_lo": float(rng.uniform(0.98, 1.0)),
+        "chi_hi": float(rng.uniform(1.0, 1.03)),
+        "grid": int(rng.integers(2, 9)),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        outputs = [Path(tmp) / name for name in ("a.csv", "b.csv")]
+        for out in outputs:
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        first, second = (out.read_bytes() for out in outputs)
+    assert first == second
+
+
+def test_grid_beyond_bound_exit_3(tmp_path, capsys):
+    """A grid of 10^12 points is refused by name before anything is
+    allocated."""
+    cfg = write_config(
+        tmp_path, {**GAUSSIAN_PAIR, "chi_lo": 1.0, "chi_hi": 1.01, "grid": 10**12}
+    )
+    assert main(["sweep", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: grid size must be <= 1000000, got 1000000000000\n"
+    )
 
 
 class TestFindHomCommand:

@@ -411,6 +411,40 @@ class TestRedshiftTransform:
                 )
 
 
+def drawn_profile(kind, rng):
+    """A unit-norm gaussian, comb or table near omega = 100."""
+    if kind == "gaussian":
+        return GaussianProfile(
+            rng.uniform(90, 110), rng.uniform(0.5, 3), rng.uniform(0, 2 * np.pi)
+        )
+    if kind == "comb":
+        return make_comb([
+            (rng.standard_normal() + 1j * rng.standard_normal(),
+             rng.uniform(90, 110), rng.uniform(0.5, 3))
+            for _ in range(rng.integers(1, 5))
+        ])
+    grid = np.sort(rng.uniform(80.0, 120.0, int(rng.integers(2, 300))))
+    values = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    table = TabulatedProfile(grid, values)
+    return TabulatedProfile(grid, values / np.sqrt(inner_product(table, table).real))
+
+
+KINDS = st.sampled_from(["gaussian", "comb", "table"])
+
+
+@given(
+    kind1=KINDS, kind2=KINDS, chi=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1)
+)
+def test_redshift_preserves_norms_and_overlaps(kind1, kind2, chi, seed):
+    """<F',G'> = <F,G> to 1e-12 for unit-norm profiles of every pair of
+    kinds, the norms (F = G) included."""
+    rng = np.random.default_rng(seed)
+    f, g = drawn_profile(kind1, rng), drawn_profile(kind2, rng)
+    fp, gp = redshift_transform(f, chi), redshift_transform(g, chi)
+    for a, b, a_shifted, b_shifted in ((f, g, fp, gp), (f, f, fp, fp), (g, g, gp, gp)):
+        assert abs(inner_product(a_shifted, b_shifted) - inner_product(a, b)) <= 1e-12
+
+
 class TestOrthonormalizePair:
     def test_disjoint_pair_unchanged(self):
         g1 = GaussianProfile(100.0, 1.0)

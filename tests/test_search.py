@@ -51,6 +51,13 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(f1, f2, 1.2, 1.1, 5)
 
+    def test_grid_bound(self):
+        """A huge grid is refused by name before linspace allocates it."""
+        f1, f2 = alternating_comb_pair()
+        with pytest.raises(DomainError, match=r"grid size must be <= 1000000, got"):
+            SweepSpec(f1, f2, 1.0, 1.1, 10**12)
+        assert SweepSpec(f1, f2, 1.0, 1.1, 10**6).grid == 10**6
+
     def test_grid_values(self):
         f1, f2 = alternating_comb_pair()
         spec = SweepSpec(f1, f2, 1.0, 1.2, 5)
@@ -400,15 +407,38 @@ class TestBatchedPipeline:
         ]
         assert find_hom(spec) == whole[1] and whole[1]
 
-    def test_orthogonality_checked_once_per_sweep(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, route", [("comb", "_lobe_overlaps"), ("table", "_piecewise_inner")]
+    )
+    def test_pipeline_makes_three_overlap_passes(self, monkeypatch, kind, route):
+        """Gram-Schmidt with its orthogonality check: both norms, <E1,N2>,
+        then the residual's norm and its overlap on E1."""
+        pair = alternating_comb_pair()
+        if kind == "table":
+            grid = np.linspace(90.0, 120.0, 301)
+            pair = tuple(TabulatedProfile(grid, f.evaluate(grid)) for f in pair)
         calls = []
-        inner_product = tritter.inner_product
+        route_fn = getattr(modes, route)
 
-        def counting(f, g):
-            calls.append((f, g))
-            return inner_product(f, g)
+        def counting(*args):
+            calls.append(len(args[0]))
+            return route_fn(*args)
 
-        monkeypatch.setattr(tritter, "inner_product", counting)
+        monkeypatch.setattr(modes, route, counting)
+        search._Pipeline(SweepSpec(*pair, 1.0, 1.03, 7))
+        assert len(calls) == 3
+
+    def test_orthogonality_checked_once_per_sweep(self, monkeypatch):
+        """Gram-Schmidt checks its own outputs; no mixer checks them again."""
+        calls = []
+        check = modes.require_orthogonal
+
+        def counting(overlap):
+            calls.append(overlap)
+            return check(overlap)
+
+        monkeypatch.setattr(modes, "require_orthogonal", counting)
+        monkeypatch.setattr(tritter, "require_orthogonal", counting)
         f1, f2 = alternating_comb_pair()
         sweep_chi(SweepSpec(f1, f2, 1.0, 1.03, 7))
         assert len(calls) == 1
